@@ -5,8 +5,9 @@ geometry-verify, sweep, report.  Output is human-readable text or canonical
 JSON (sorted keys, lowest-terms rationals); the default format comes from
 the TILINGLINKS_FORMAT environment variable when set.
 
-Exit codes: 0 success, 2 domain errors (invalid input), 3 internal
-verification failures (exact/numeric disagreement).
+Exit codes: 0 success, 2 domain errors (invalid input, an --out file that
+cannot be opened), 3 internal verification failures (exact/numeric
+disagreement) and stray arithmetic or linear-algebra errors.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import json
 import os
 import sys
 from math import pi
+
+import numpy as np
 
 from . import __version__
 from .arithmeticity import (arithmetic_sweep, certificate_json_dict,
@@ -56,6 +59,13 @@ def _check_params(*vals):
             raise DomainError(
                 f"parameter {v} exceeds the supported bound {MAX_PARAM} "
                 "(field degrees grow too fast)")
+
+
+def _check_samples(samples):
+    # verify_basins refuses it as well, but only after the realization or
+    # classification work that precedes the basin checks
+    if samples < 1:
+        raise DomainError(f"--samples must be >= 1, got {samples}")
 
 
 def _presentation_for(args):
@@ -198,6 +208,7 @@ def _geometry_reports(m, n, samples, seed):
 
 
 def cmd_geometry_verify(args, out):
+    _check_samples(args.samples)
     reports = []
     if args.cell:
         for kind in args.cell:
@@ -242,6 +253,7 @@ def cmd_sweep(args, out):
 def cmd_report(args, out):
     if args.bound > MAX_PARAM:
         raise DomainError(f"bound must be <= {MAX_PARAM}")
+    _check_samples(args.samples)
     rows = classification_rows(args.bound)
     sweep = arithmetic_sweep(args.bound, args.bound) if args.bound >= 3 else []
     geometry = []
@@ -370,14 +382,21 @@ def main(argv=None) -> int:
         args.cell = []
     try:
         if args.out:
-            with open(args.out, "w") as fh:
+            try:
+                fh = open(args.out, "w")
+            except OSError as exc:
+                raise DomainError(f"cannot open --out file: {exc}") from exc
+            with fh:
                 return args.func(args, fh)
         return args.func(args, sys.stdout)
-    except (DomainError,) as exc:
+    except DomainError as exc:
         print(f"error: domain: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:
         print(f"error: verification: {exc}", file=sys.stderr)
+        return 3
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

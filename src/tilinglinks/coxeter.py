@@ -17,7 +17,6 @@ Everything in this module is pure and operates on immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Optional, Sequence, Union
@@ -33,13 +32,14 @@ EUCLIDEAN_TYPES = {(4, 4), (6, 3)}
 
 
 def geometry_of(m: int, n: int) -> str:
-    """Spherical / Euclidean / Hyperbolic according to 1/m + 1/n vs 1/2."""
+    """Spherical / Euclidean / Hyperbolic according to 1/m + 1/n vs 1/2,
+    i.e. 2(m + n) vs m*n."""
     if not (isinstance(m, int) and isinstance(n, int)) or m < 3 or n < 3:
         raise DomainError(f"tiling parameters must be integers >= 3, got ({m}, {n})")
-    s = Fraction(1, m) + Fraction(1, n)
-    if s > Fraction(1, 2):
+    lhs, rhs = 2 * (m + n), m * n
+    if lhs > rhs:
         return "Spherical"
-    if s == Fraction(1, 2):
+    if lhs == rhs:
         return "Euclidean"
     return "Hyperbolic"
 
@@ -103,8 +103,8 @@ def _gram_from_edges(ctx, size, edges):
 
 @lru_cache(maxsize=None)
 def _hyperbolic_cosh_data(m, n):
-    """D = cos^2(pi/m) + cos^2(pi/n) - 1 and the pair
-    (cosh l_46, cosh l_56) = (cos(pi/m), cos(pi/n)) / sqrt(D)."""
+    """D = cos^2(pi/m) + cos^2(pi/n) - 1, its positive root sqrt(D), and the
+    pair (cosh l_46, cosh l_56) = (cos(pi/m), cos(pi/n)) / sqrt(D)."""
     ctx = make_context(lcm(m, n))
     cm = embed_cos(ctx, m) / 2
     cn = embed_cos(ctx, n) / 2
@@ -113,7 +113,7 @@ def _hyperbolic_cosh_data(m, n):
         raise GeometryError(f"({m},{n}) is not hyperbolic: discriminant <= 0")
     root = adjoin_sqrt(ctx, D)
     Dinv = D.inverse()
-    return ctx, cm, cn, D, cm * root * Dinv, cn * root * Dinv
+    return ctx, cm, cn, D, root, cm * root * Dinv, cn * root * Dinv
 
 
 @lru_cache(maxsize=None)
@@ -121,7 +121,7 @@ def build_hyperbolic_presentation(m: int, n: int) -> CoxeterPresentation:
     """Six-face presentation for the hyperbolic pattern [m,n,m,n]."""
     if geometry_of(m, n) != "Hyperbolic":
         raise GeometryError(f"({m},{n}) is not a hyperbolic tiling type")
-    ctx, _, _, _, Cmn, Cnm = _hyperbolic_cosh_data(m, n)
+    ctx, _, _, _, _, Cmn, Cnm = _hyperbolic_cosh_data(m, n)
     edges = (
         Edge(1, 2, "angle", order=m),
         Edge(1, 3, "angle", order=n),
@@ -202,12 +202,14 @@ def solve_ultraparallel_by_minor(m: int, n: int):
 
     The rank-4 constraint forces the 5x5 minor omitting row/column 5 (resp. 4)
     to be singular.  Each minor determinant is a quadratic A*x^2 + B*x + C in
-    the unknown cosh-distance x with B = 0; we recover x^2 = -C/A exactly and
-    certify that the positive root is cos(pi/m)/sqrt(D) (resp. n).
+    the unknown cosh-distance x with B = 0, so x^2 = -C/A.  The closed form
+    x = c/sqrt(D), c = cos(pi/m) (resp. n), is certified by the
+    cross-multiplied identity -C*D == A*c^2 and c > 0, all inside K0, and
+    the cached closed-form values are returned.
     """
     if geometry_of(m, n) != "Hyperbolic":
         raise GeometryError(f"({m},{n}) is not a hyperbolic tiling type")
-    ctx, cm, cn, D, Cmn, Cnm = _hyperbolic_cosh_data(m, n)
+    ctx, cm, cn, D, _, Cmn, Cnm = _hyperbolic_cosh_data(m, n)
     zero = AlgebraicNumber.rational(ctx, 0)
     two = AlgebraicNumber.rational(ctx, 2)
     mtwo = AlgebraicNumber.rational(ctx, -2)
@@ -227,7 +229,6 @@ def solve_ultraparallel_by_minor(m: int, n: int):
         full[i][5] = full[5][i] = v
         return [[full[r][c] for c in keep] for r in keep]
 
-    results = []
     for keep, cosval in (((0, 1, 2, 3, 5), cm), ((0, 1, 2, 4, 5), cn)):
         dets = {}
         for t in (0, 1, -1):
@@ -239,15 +240,14 @@ def solve_ultraparallel_by_minor(m: int, n: int):
             raise VerificationError("minor determinant has a linear term")
         if A.is_zero:
             raise VerificationError("minor determinant does not depend on the unknown")
-        x_squared = -(dets[0] / A)
-        candidate = cosval * adjoin_sqrt(ctx, D) * D.inverse()
-        if candidate * candidate != x_squared:
+        # x^2 = -C/A against (c/sqrt(D))^2 = c^2/D, both sides times A*D
+        if -dets[0] * D != A * cosval * cosval:
             raise VerificationError(
                 "closed-form cosh value does not satisfy the singular-minor equation")
-        if candidate.sign() <= 0:
+        # sqrt(D) > 0, so c/sqrt(D) has the sign of c
+        if cosval.sign() <= 0:
             raise VerificationError("cosh candidate not positive")
-        results.append(candidate)
-    return results[0], results[1]
+    return Cmn, Cnm
 
 
 # -- rank and signature ------------------------------------------------------
@@ -297,12 +297,42 @@ def _charpoly(rows):
     return coeffs
 
 
+def _k0_congruent_gram(p: CoxeterPresentation):
+    """S*G*S for the hyperbolic Gram matrix G and S = diag(1,1,1,1,1,sqrt D).
+
+    S*G*S is congruent to G, so it has the same rank and inertia (Sylvester's
+    law), and every entry lies in K0: (4,6) and (5,6) become -2cos(pi/m) and
+    -2cos(pi/n), (6,6) becomes 2D.  Each scaled off-diagonal entry of face 6
+    is certified exactly against that closed form; (6,6) is G66 * D exactly.
+    """
+    _, cm, cn, D, root, _, _ = _hyperbolic_cosh_data(p.m, p.n)
+    zero = AlgebraicNumber.rational(p.ctx, 0)
+    rows = [list(r) for r in p.gram]
+    for i, want in enumerate((zero, zero, zero, -2 * cm, -2 * cn)):
+        if rows[5][i] != rows[i][5] or rows[i][5] * root != want:
+            raise VerificationError(
+                f"Gram entry ({i + 1},6) times sqrt(D) disagrees with its "
+                "closed form in K0")
+        rows[i][5] = rows[5][i] = want
+    rows[5][5] = rows[5][5] * D
+    return rows
+
+
 def rank_and_signature(p: GramLike) -> tuple[int, int, int]:
     """(rank, n_positive, n_negative), rank exact, signature by Descartes
-    on the exact characteristic polynomial, cross-checked numerically."""
+    on the exact characteristic polynomial, cross-checked numerically.
+
+    For a hyperbolic presentation the exact part runs on the K0-congruent
+    Gram matrix of `_k0_congruent_gram`; raw rows and spherical
+    presentations are used as given.  The numeric cross-check always uses
+    the original Gram matrix.
+    """
     rows = p.gram if isinstance(p, CoxeterPresentation) else p
+    exact_rows = (_k0_congruent_gram(p)
+                  if isinstance(p, CoxeterPresentation)
+                  and p.family == "hyperbolic" else rows)
     s = len(rows)
-    coeffs = _charpoly(rows)  # lambda^s .. constant term
+    coeffs = _charpoly(exact_rows)  # lambda^s .. constant term
     trailing = 0
     while trailing < s and coeffs[s - trailing].is_zero:
         trailing += 1

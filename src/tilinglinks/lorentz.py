@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .coxeter import CoxeterPresentation, geometry_of, validate_presentation
-from .errors import GeometryError, VerificationError
+from .errors import DomainError, GeometryError, VerificationError
 
 TOL = 1e-9
 WALL_SKIP_TOL = 1e-8
@@ -534,6 +534,8 @@ def verify_basins(cell: IdealCell, samples: int = 10000,
     counted; `max_margin_at_walls` records the largest top-two distance gap
     among skipped samples.
     """
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
     w = cell.horoballs
     signs = np.sign(np.round(cell.vertices @ J @ cell.reflections.T, 12))
     kept = viol = skipped = 0

@@ -4,6 +4,9 @@ and seeded reproducibility."""
 import io
 import json
 
+import pytest
+
+from tilinglinks import cli
 from tilinglinks.cli import main
 
 
@@ -146,6 +149,31 @@ def test_geometry_verify_pair():
 def test_geometry_verify_requires_target():
     code, _ = run_cli("geometry-verify")
     assert code == 2
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_nonpositive_samples_exit_2(samples):
+    code, out = run_cli("geometry-verify", "--cell", "tetrahedron",
+                        "--samples", samples)
+    assert code == 2 and "PASS" not in out
+    code, out = run_cli("report", "--bound", "4", "--with-geometry",
+                        "--samples", samples)
+    assert code == 2 and out == ""
+
+
+def test_out_file_unwritable_exit_2(tmp_path, capsys):
+    code, out = run_cli("gram", "6", "4",
+                        "--out", str(tmp_path / "missing" / "x.txt"))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_stray_arithmetic_error_exit_3(monkeypatch):
+    def boom(args, out):
+        raise ZeroDivisionError("division by zero")
+    monkeypatch.setattr(cli, "cmd_sweep", boom)
+    code, _ = run_cli("sweep")
+    assert code == 3
 
 
 def test_out_file(tmp_path):

@@ -2,10 +2,12 @@
 singular-minor derivation of the ultraparallel entries, rank/signature, and
 cyclic products."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from tilinglinks import coxeter
 from tilinglinks.coxeter import (build_hyperbolic_presentation,
                                  build_presentation,
                                  build_spherical_presentation,
@@ -13,7 +15,7 @@ from tilinglinks.coxeter import (build_hyperbolic_presentation,
                                  geometry_of, rank_and_signature,
                                  solve_ultraparallel_by_minor,
                                  validate_presentation)
-from tilinglinks.errors import DomainError, GeometryError
+from tilinglinks.errors import DomainError, GeometryError, VerificationError
 from tilinglinks.fields import (AlgebraicNumber, adjoin_sqrt, embed_cos,
                                 is_rational, make_context)
 
@@ -199,8 +201,36 @@ def test_rank_signature_scaled_identity():
         assert rank_and_signature(rows) == (s, s, 0)
 
 
+def test_rank_signature_k0_path_matches_generic_up_to_12():
+    # the presentation goes through the K0-congruent Gram matrix, the raw
+    # rows through the generic charpoly on the sqrt(D) entries (reference)
+    for (m, n) in HYPERBOLIC_PAIRS_12:
+        p = build_hyperbolic_presentation(m, n)
+        assert rank_and_signature(p) == rank_and_signature(p.gram), (m, n)
+
+
+def test_k0_certification_rejects_wrong_scaled_entry(monkeypatch):
+    p = build_hyperbolic_presentation(7, 4)
+    # (4,6) carrying the (5,6) cosh value: the K0 path must refuse it
+    # rather than report the tampered matrix's signature
+    gram = [list(r) for r in p.gram]
+    gram[3][5] = gram[5][3] = gram[4][5]
+    swapped = dataclasses.replace(p, gram=tuple(tuple(r) for r in gram))
+    with pytest.raises(VerificationError):
+        rank_and_signature(swapped)
+
+    ctx, cm, cn, D, root, c_mn, c_nm = coxeter._hyperbolic_cosh_data(7, 4)
+    wrong = cm + AlgebraicNumber.rational(ctx, Fraction(1, 10**6))
+    monkeypatch.setattr(coxeter, "_hyperbolic_cosh_data",
+                        lambda m, n: (ctx, wrong, cn, D, root, c_mn, c_nm))
+    with pytest.raises(VerificationError):
+        rank_and_signature(p)
+    with pytest.raises(VerificationError):
+        solve_ultraparallel_by_minor(7, 4)
+
+
 def test_validate_presentation_all_families():
-    for (m, n) in [(6, 4), (9, 5), (5, 3), (4, 3), (3, 3)]:
+    for (m, n) in [(6, 4), (9, 5), (5, 3), (4, 3), (3, 3), (22, 49)]:
         p = build_presentation(m, n)
         assert validate_presentation(p) == (4, 3, 1)
 
@@ -240,7 +270,7 @@ def test_cyclic_products_spherical_53():
     assert all(len(faces) == 2 for faces in prods)  # the diagram is a path
 
 
-@pytest.mark.parametrize("m,n", UNORDERED_12)
+@pytest.mark.parametrize("m,n", UNORDERED_12 + [(31, 11)])
 def test_minor_equals_closed_form_up_to_12(m, n):
     c_mn, c_nm = solve_ultraparallel_by_minor(m, n)
     p = build_hyperbolic_presentation(m, n)

@@ -10,7 +10,7 @@ import pytest
 from tilinglinks.coxeter import (build_hyperbolic_presentation,
                                  build_presentation,
                                  build_spherical_presentation)
-from tilinglinks.errors import GeometryError
+from tilinglinks.errors import DomainError, GeometryError
 from tilinglinks.lorentz import (J, build_drum, build_platonic_cell,
                                  classify_point, drum_symmetries_ok,
                                  edge_midpoint, horoball_distance, mdot,
@@ -371,6 +371,12 @@ def test_basins_no_violations(make_cell):
     rep = verify_basins(make_cell(), samples=2500, seed=0)
     assert rep.violations == 0
     assert rep.samples == 2500
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_basins_reject_nonpositive_samples(samples):
+    with pytest.raises(DomainError):
+        verify_basins(build_platonic_cell("tetrahedron"), samples=samples)
 
 
 def test_basin_report_reproducible():
