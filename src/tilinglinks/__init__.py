@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .arithmeticity import (ArithmeticityCertificate, arithmetic_sweep,
                             check_arithmetic, niven_filter)
 from .classify import (arithmetic_status, classification_rows,
-                       classify_geometry, commensurable,
+                       classify_geometry, commensurability_key, commensurable,
                        minimal_orbifold_degree, trace_field_table)
 from .coxeter import (CoxeterPresentation, TilingType,
                       build_hyperbolic_presentation,
@@ -36,10 +36,11 @@ __all__ = [
     "arithmetic_sweep", "build_drum", "build_hyperbolic_presentation",
     "build_platonic_cell", "build_spherical_presentation", "build_worksheet",
     "check_arithmetic", "classification_rows", "classify_geometry",
-    "commensurable", "embed_cos", "enumerate_cyclic_products", "geometry_of",
-    "gprime_determinant", "invariant_trace_field", "is_algebraic_integer",
-    "is_rational", "make_context", "minimal_orbifold_degree",
-    "minimal_polynomial", "niven_filter", "rank_and_signature", "realize",
+    "commensurability_key", "commensurable", "embed_cos",
+    "enumerate_cyclic_products", "geometry_of", "gprime_determinant",
+    "invariant_trace_field", "is_algebraic_integer", "is_rational",
+    "make_context", "minimal_orbifold_degree", "minimal_polynomial",
+    "niven_filter", "rank_and_signature", "realize",
     "solve_ultraparallel_by_minor", "tiling_angle_oracle", "tiling_angles",
     "trace_field_table", "verify_basins", "verify_gluing_angles",
 ]

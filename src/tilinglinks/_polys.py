@@ -5,7 +5,7 @@ exact integer arithmetic; callers layer rational normalization on top.
 """
 
 from functools import lru_cache
-from math import comb, gcd
+from math import gcd
 
 
 def trim(c):
@@ -94,9 +94,14 @@ def fold_palindromic(coeffs):
     s = [coeffs[k + t] for t in range(k + 1)]
     q = [0] * (k + 1)
     for j in range(k, -1, -1):
-        q[j] = s[j]
-        for t in range(j - 2, -1, -2):
-            s[t] -= q[j] * comb(j, (j - t) // 2)
+        qj = q[j] = s[j]
+        if not qj:
+            continue
+        # (z + 1/z)^j = sum_i comb(j, i) z^(j - 2i); c runs through comb(j, i)
+        c = 1
+        for i, t in enumerate(range(j - 2, -1, -2)):
+            c = c * (j - i) // (i + 1)
+            s[t] -= qj * c
     return tuple(q)
 
 

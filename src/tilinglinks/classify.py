@@ -196,6 +196,21 @@ def commensurable(a, b) -> tuple[bool, str]:
                    f"vs {_cell_description(tb)}")
 
 
+def commensurability_key(t, bound: int) -> tuple[int, int]:
+    """Representative of t's commensurability class among the valid types
+    with both parameters <= bound: the largest member of the Q(i) family
+    within the bound for a family member, the unordered type itself
+    otherwise.  key(a) == key(b) exactly when `commensurable(a, b)` holds."""
+    t = normalize_type(*t)
+    if not is_valid_type(*t):
+        raise DomainError(f"{t} is not a valid right-angled tiling type")
+    if t[0] > bound:
+        raise DomainError(f"{t} lies outside the bound {bound}")
+    if t in QI_FAMILY:
+        return max(u for u in QI_FAMILY if u[0] <= bound)
+    return t
+
+
 NOT_APPLICABLE = "not_applicable"
 
 
@@ -226,20 +241,8 @@ class ClassificationRow:
 
 def classification_rows(bound: int) -> list[ClassificationRow]:
     types = valid_types(bound)
-    # commensurability classes by union-find over the pairwise relation
-    parent = {t: t for t in types}
-
-    def find(t):
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
-    for i, t1 in enumerate(types):
-        for t2 in types[i + 1:]:
-            if commensurable(t1, t2)[0]:
-                parent[find(t1)] = find(t2)
-    reps = sorted({find(t) for t in types})
+    key = {t: commensurability_key(t, bound) for t in types}
+    reps = sorted(set(key.values()))
     class_id = {rep: f"C{i + 1}" for i, rep in enumerate(reps)}
 
     rows = []
@@ -254,7 +257,7 @@ def classification_rows(bound: int) -> list[ClassificationRow]:
             deg_str = NOT_APPLICABLE
         rows.append(ClassificationRow(t[0], t[1], geometry_of(*t),
                                       status.arithmetic, label, deg_str,
-                                      class_id[find(t)]))
+                                      class_id[key[t]]))
     return rows
 
 

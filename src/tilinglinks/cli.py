@@ -6,13 +6,14 @@ JSON (sorted keys, lowest-terms rationals); the default format comes from
 the TILINGLINKS_FORMAT environment variable when set.
 
 Exit codes: 0 success, 2 domain errors (invalid input, an --out file that
-cannot be opened), 3 internal verification failures (exact/numeric
+cannot be written), 3 internal verification failures (exact/numeric
 disagreement) and stray arithmetic or linear-algebra errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -381,14 +382,18 @@ def main(argv=None) -> int:
     if getattr(args, "cell", "missing") is None:
         args.cell = []
     try:
-        if args.out:
-            try:
-                fh = open(args.out, "w")
-            except OSError as exc:
-                raise DomainError(f"cannot open --out file: {exc}") from exc
-            with fh:
-                return args.func(args, fh)
-        return args.func(args, sys.stdout)
+        if not args.out:
+            return args.func(args, sys.stdout)
+        # the file is opened only after the command has returned, so a
+        # command that raises leaves an existing --out file untouched
+        buf = io.StringIO()
+        code = args.func(args, buf)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(buf.getvalue())
+        except OSError as exc:
+            raise DomainError(f"cannot write --out file: {exc}") from exc
+        return code
     except DomainError as exc:
         print(f"error: domain: {exc}", file=sys.stderr)
         return 2

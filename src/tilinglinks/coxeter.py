@@ -416,12 +416,13 @@ def presentation_json_dict(p: CoxeterPresentation) -> dict:
             d["cosh_dist"] = as_json_dict(e.cosh_dist)
         return d
 
+    gram = [[as_json_dict(e) for e in row] for row in p.gram]
     return {
         "m": p.m,
         "n": p.n,
         "family": p.family,
         "faces": list(p.faces),
         "edges": [edge_dict(e) for e in p.edges],
-        "gram": [[as_json_dict(e) for e in row] for row in p.gram],
-        "gram_approx": [[e.approx() for e in row] for row in p.gram],
+        "gram": gram,
+        "gram_approx": [[e["approx"] for e in row] for row in gram],
     }

@@ -21,7 +21,7 @@ from typing import Optional
 
 import mpmath
 
-from ._polys import content, cyclotomic, fold_palindromic, trim
+from ._polys import content, cyclotomic, fold_palindromic, mul, trim
 from .errors import DomainError, VerificationError
 
 _DEFAULT_PREC = 160
@@ -96,22 +96,20 @@ def _generator_values(L, prec):
     return vals
 
 
-def _eval_vec(num, den, gval):
-    acc = mpmath.mpf(0)
-    for c in reversed(num):
-        acc = acc * gval + c
-    return acc / den
-
-
 def _eval_vec_bounded(num, den, gval):
     """Horner value together with a magnitude bound sum(|c_i| |g|^i)/den;
     the rounding error of the evaluation is about the bound times 2^-prec.
     Large coefficient vectors (e.g. inverses in high-degree fields) cancel
-    massively, so the bound is essential for trusting a sign or a float."""
+    massively, so the bound is essential for trusting a sign or a float.
+    Horner starts at the highest nonzero coefficient: the zero padding above
+    it would leave both sums at exactly zero."""
+    top = len(num)
+    while top and not num[top - 1]:
+        top -= 1
     acc = mpmath.mpf(0)
     mag = mpmath.mpf(0)
     ag = abs(gval)
-    for c in reversed(num):
+    for c in reversed(num[:top]):
         acc = acc * gval + c
         mag = mag * ag + abs(c)
     return acc / den, mag / den
@@ -413,71 +411,57 @@ class AlgebraicNumber:
 
 
 def _base_inverse(num, den, ctx):
-    """Inverse of a base-field element via extended Euclid in Q[x]/(modulus)."""
+    """Inverse of a base-field element via extended Euclid in Q[x]/(modulus).
+
+    The remainders are kept as primitive integer polynomials (pseudo-division,
+    then the content divided out); the cofactor t is an integer vector with
+    one denominator, so that t * num == r (mod modulus) throughout."""
     if not any(num):
         raise ArithmeticError("division by zero")
     if ctx.degree == 1:
         return _normalize((den,), num[0])
-    a = [Fraction(c) for c in ctx.modulus]
-    b = [Fraction(c, den) for c in num]
-    # invariants: s*a0 + t*b0 = r  (we only track t)
-    t_prev, t_cur = [], [Fraction(1)]
-    r_prev, r_cur = a, _ftrim(b)
+    r_prev, r_cur = list(ctx.modulus), trim(num)
+    g = content(r_cur)
+    r_cur = [c // g for c in r_cur]
+    t_prev, t_cur = ((), 1), ((1,), g)
     while len(r_cur) > 1:
-        q, rem = _fdivmod(r_prev, r_cur)
-        t_next = _fsub(t_prev, _fmul(q, t_cur))
-        r_prev, r_cur = r_cur, rem
-        t_prev, t_cur = t_cur, t_next
-        if not r_cur:
+        scale, q, rem = _pseudo_divmod(r_prev, r_cur)
+        if not rem:
             raise ArithmeticError("element not invertible (modulus not coprime)")
-    c = r_cur[0]
-    coeffs = [t / c for t in t_cur]
-    coeffs += [Fraction(0)] * (ctx.degree - len(coeffs))
-    dd = 1
-    for f in coeffs:
-        dd = dd * f.denominator // gcd(dd, f.denominator)
-    vec = tuple(int(f * dd) for f in coeffs[:ctx.degree])
-    return _normalize(vec, dd)
+        g = content(rem)
+        # scale * r_prev - q * r_cur == rem, so the same combination of the
+        # cofactors, divided by the content g, belongs to rem / g
+        (tp, dp), (tc, dc) = t_prev, t_cur
+        m = dp * dc // gcd(dp, dc)
+        fp, fc = scale * (m // dp), m // dc
+        qt = mul(q, tc)
+        t_next = [0] * max(len(tp), len(qt))
+        for i, c in enumerate(tp):
+            t_next[i] = c * fp
+        for i, c in enumerate(qt):
+            t_next[i] -= c * fc
+        r_prev, r_cur = r_cur, [c // g for c in rem]
+        t_prev, t_cur = t_cur, _normalize(tuple(trim(t_next)), m * g)
+    tv, td = t_cur
+    vec = tuple(c * den for c in tv) + (0,) * (ctx.degree - len(tv))
+    return _normalize(vec, td * r_cur[0])
 
 
-def _ftrim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _fsub(p, q):
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] -= c
-    return _ftrim(out)
-
-
-def _fmul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _ftrim(out)
-
-
-def _fdivmod(p, q):
-    p = list(p)
-    quot = [Fraction(0)] * max(1, len(p) - len(q) + 1)
-    lead = q[-1]
-    for k in range(len(p) - len(q), -1, -1):
-        c = p[k + len(q) - 1] / lead
-        quot[k] = c
+def _pseudo_divmod(a, b):
+    """(s, q, r) with s * a == q * b + r over Z and deg r < deg b, where
+    s = lead(b)^(deg a - deg b + 1) makes every division step exact."""
+    db = len(b) - 1
+    lead = b[-1]
+    steps = len(a) - db
+    scale = lead ** steps
+    a = [c * scale for c in a]
+    q = [0] * steps
+    for k in range(steps - 1, -1, -1):
+        c = q[k] = a[k + db] // lead
         if c:
-            for j, b in enumerate(q):
-                p[k + j] -= c * b
-    return _ftrim(quot), _ftrim(p)
+            for j, bj in enumerate(b):
+                a[k + j] -= c * bj
+    return scale, q, trim(a[:db])
 
 
 # -- spec-level operations --------------------------------------------------
@@ -542,7 +526,7 @@ def _detect_square(ctx, D):
     prec = 120
     gvals = _generator_values(ctx.L, prec)
     with mpmath.workprec(prec):
-        conj = [_eval_vec(D.num, D.den, gv) for gv in gvals]
+        conj = [_eval_vec_bounded(D.num, D.den, gv)[0] for gv in gvals]
         if any(c <= mpmath.mpf(2) ** -40 for c in conj):
             return None  # not totally positive, cannot be a square
         roots = [mpmath.sqrt(c) for c in conj]

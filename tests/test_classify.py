@@ -9,10 +9,10 @@ import pytest
 
 from tilinglinks.classify import (NOT_APPLICABLE, arithmetic_status,
                                   classification_rows, classify_geometry,
-                                  commensurable, is_valid_type,
-                                  minimal_orbifold_degree, rows_to_csv,
-                                  rows_to_json, trace_field_table,
-                                  valid_types)
+                                  commensurability_key, commensurable,
+                                  is_valid_type, minimal_orbifold_degree,
+                                  rows_to_csv, rows_to_json,
+                                  trace_field_table, valid_types)
 from tilinglinks.errors import DomainError
 
 
@@ -127,6 +127,41 @@ def test_commensurable_is_equivalence_relation():
     for a, b, c in itertools.product(types, repeat=3):
         if rel[(a, b)] and rel[(b, c)]:
             assert rel[(a, c)], (a, b, c)
+
+
+def test_commensurability_key_matches_pairwise_relation():
+    types = valid_types(12)
+    for a in types:
+        for b in types:
+            assert ((commensurability_key(a, 12) == commensurability_key(b, 12))
+                    == commensurable(a, b)[0]), (a, b)
+    with pytest.raises(DomainError):
+        commensurability_key((13, 3), 12)
+    with pytest.raises(DomainError):
+        commensurability_key((4, 2), 12)
+
+
+@pytest.mark.parametrize("bound", [3, 4, 5, 6, 12])
+def test_class_ids_match_union_find_over_pairs(bound):
+    """Class numbering from the key equals the numbering by union-find over
+    the pairwise relation, whose roots are the largest members."""
+    types = valid_types(bound)
+    parent = {t: t for t in types}
+
+    def find(t):
+        while parent[t] != t:
+            t = parent[t]
+        return t
+
+    for i, t1 in enumerate(types):
+        for t2 in types[i + 1:]:
+            if commensurable(t1, t2)[0]:
+                parent[find(t1)] = find(t2)
+    reps = sorted({find(t) for t in types})
+    expected = [f"C{reps.index(find(t)) + 1}" for t in types]
+    rows = classification_rows(bound)
+    assert [(r.m, r.n) for r in rows] == types
+    assert [r.commensurability_class_id for r in rows] == expected
 
 
 def test_commensurable_pairs_have_equal_trace_fields():

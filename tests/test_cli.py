@@ -168,6 +168,27 @@ def test_out_file_unwritable_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_failing_command_leaves_out_file_unchanged(tmp_path, capsys):
+    target = tmp_path / "gram.txt"
+    target.write_text("earlier output\n")
+    code, out = run_cli("gram", "51", "3", "--out", str(target))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: domain: ")
+    assert target.read_text() == "earlier output\n"
+
+
+def test_gram_json_output_guard_22_43():
+    """The canonical JSON of a degree-420 presentation, pinned by hash: exact
+    entries, their certified floats and the gram_approx table."""
+    import hashlib
+    from tilinglinks.coxeter import (build_hyperbolic_presentation,
+                                     presentation_json_dict)
+    p = build_hyperbolic_presentation(22, 43)
+    text = cli._dump(presentation_json_dict(p))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d2b1cac7e0b52e5b119752cbfb3b4e76d22e790ce8e83ccc321f0bb0a92e22af")
+
+
 def test_stray_arithmetic_error_exit_3(monkeypatch):
     def boom(args, out):
         raise ZeroDivisionError("division by zero")

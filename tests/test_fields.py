@@ -57,6 +57,30 @@ def test_generator_embedding_is_root():
         assert abs(val) < 1e-9
 
 
+@pytest.mark.parametrize("L", [60, 91, 1073])
+def test_high_degree_modulus_matches_root_product(L):
+    """The folded cyclotomic modulus against an independent oracle: the
+    product of (x - 2cos(k pi/L)) over k coprime to 2L, expanded in mpmath
+    with enough bits to round every coefficient unambiguously (degree 504
+    at L = 1073, coefficients below 3^504 in size)."""
+    import mpmath
+    from math import gcd
+    ctx = make_context(L)
+    with mpmath.workprec(2 * ctx.degree + 200):
+        poly = [mpmath.mpf(1)]
+        for k in range(1, L):
+            if gcd(k, 2 * L) == 1:
+                root = 2 * mpmath.cos(mpmath.pi * k / L)
+                poly = [(poly[i - 1] if i else 0)
+                        - (root * poly[i] if i < len(poly) else 0)
+                        for i in range(len(poly) + 1)]
+        rounded = tuple(int(mpmath.nint(c)) for c in poly)
+        assert all(abs(c - r) < mpmath.mpf("0.01")
+                   for c, r in zip(poly, rounded))
+    assert ctx.degree == len(rounded) - 1
+    assert ctx.modulus == rounded
+
+
 def test_bad_context_rejected():
     with pytest.raises(DomainError):
         make_context(0)
@@ -132,6 +156,37 @@ def test_embedding_is_ring_homomorphism(data):
     scale = max(1.0, abs(axy), abs(axpy))
     assert abs(ax * ay - axy) < 1e-9 * scale
     assert abs(ax + ay - axpy) < 1e-9 * scale
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_inverse_times_element_is_one_high_degree(data):
+    """x * x.inverse() == 1 for base elements and for elements of
+    K0(sqrt(2 + g)); 2 + g = (2cos(pi/2L))^2 is not a square in K0."""
+    L = data.draw(st.sampled_from([7, 15, 91]))
+    ctx = make_context(L)
+    one = AlgebraicNumber.rational(ctx, 1)
+    vec = st.lists(st.integers(-50, 50), min_size=ctx.degree,
+                   max_size=ctx.degree)
+    a, b = data.draw(vec), data.draw(vec)
+    den, ext_den = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 30))
+    x = AlgebraicNumber._make(ctx, a, den)
+    if not x.is_zero:
+        assert x * x.inverse() == one
+    D = AlgebraicNumber.generator(ctx) + 2
+    y = AlgebraicNumber._make(ctx, a, den, b, ext_den, D)
+    if not y.is_zero:
+        assert y * y.inverse() == one
+
+
+def test_inverse_of_degree_920_discriminant():
+    """D = cos^2(pi/47) + cos^2(pi/44) - 1 in Q(2cos(pi/2068)), degree 920:
+    the Gram entries of the (47,44) presentation carry D^-1."""
+    ctx = make_context(2068)
+    assert ctx.degree == 920
+    cm, cn = embed_cos(ctx, 47) / 2, embed_cos(ctx, 44) / 2
+    D = cm * cm + cn * cn - 1
+    assert D * D.inverse() == AlgebraicNumber.rational(ctx, 1)
 
 
 def test_add_zero_identity():
