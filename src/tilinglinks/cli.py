@@ -62,11 +62,13 @@ def _check_params(*vals):
                 "(field degrees grow too fast)")
 
 
-def _check_samples(samples):
-    # verify_basins refuses it as well, but only after the realization or
+def _check_sampling(samples, seed):
+    # verify_basins refuses these as well, but only after the realization or
     # classification work that precedes the basin checks
     if samples < 1:
         raise DomainError(f"--samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {seed}")
 
 
 def _presentation_for(args):
@@ -172,11 +174,18 @@ def cmd_commensurable(args, out):
     return 0
 
 
+def _basin_check(ideal_cell, samples, seed, **labels):
+    """One basin-sampler report as a JSON-ready dict, relabelled by `labels`
+    and with its `pass` verdict."""
+    rep = verify_basins(ideal_cell, samples=samples, seed=seed)
+    return rep.json_dict() | labels | {"pass": rep.passed}
+
+
 def _geometry_reports(m, n, samples, seed):
     reports = []
     p = build_presentation(m, n)
     r = realize(p)
-    gram_err = float(abs(r.recomputed_gram() - p.gram_float()).max())
+    gram_err = float(abs(r.recomputed_gram() - r.gram).max())
     reports.append({"check": "gram_roundtrip", "max_error": gram_err,
                     "pass": gram_err < 1e-9})
     angle_err = 0.0
@@ -202,21 +211,19 @@ def _geometry_reports(m, n, samples, seed):
             d = build_drum(m, n, side=side)
             reports.append({"check": f"drum({side})_symmetries",
                             "pass": drum_symmetries_ok(d)})
-            rep = verify_basins(d.cell, samples=samples, seed=seed)
-            reports.append(rep.json_dict() | {"check": f"drum({side})_basins",
-                                              "pass": rep.violations == 0})
+            reports.append(_basin_check(d.cell, samples, seed,
+                                        check=f"drum({side})_basins"))
     return reports
 
 
 def cmd_geometry_verify(args, out):
-    _check_samples(args.samples)
+    _check_sampling(args.samples, args.seed)
     reports = []
     if args.cell:
         for kind in args.cell:
-            cell = build_platonic_cell(kind)
-            rep = verify_basins(cell, samples=args.samples, seed=args.seed)
-            reports.append(rep.json_dict() | {"check": f"{kind}_basins",
-                                              "pass": rep.violations == 0})
+            reports.append(_basin_check(build_platonic_cell(kind),
+                                        args.samples, args.seed,
+                                        check=f"{kind}_basins"))
     if args.m is not None and args.n is not None:
         _check_params(args.m, args.n)
         reports += _geometry_reports(args.m, args.n, args.samples, args.seed)
@@ -254,24 +261,20 @@ def cmd_sweep(args, out):
 def cmd_report(args, out):
     if args.bound > MAX_PARAM:
         raise DomainError(f"bound must be <= {MAX_PARAM}")
-    _check_samples(args.samples)
+    _check_sampling(args.samples, args.seed)
     rows = classification_rows(args.bound)
     sweep = arithmetic_sweep(args.bound, args.bound) if args.bound >= 3 else []
     geometry = []
     if args.with_geometry:
         for kind in ("tetrahedron", "octahedron"):
-            cell = build_platonic_cell(kind)
-            rep = verify_basins(cell, samples=args.samples, seed=args.seed)
-            geometry.append(rep.json_dict() | {"pass": rep.violations == 0})
+            geometry.append(_basin_check(build_platonic_cell(kind),
+                                         args.samples, args.seed))
         for (m, n) in ((6, 6), (6, 4)):
             if m <= args.bound and n <= args.bound:
                 for side in sorted({m, n}):
-                    d = build_drum(m, n, side=side)
-                    rep = verify_basins(d.cell, samples=args.samples,
-                                        seed=args.seed)
-                    geometry.append(rep.json_dict()
-                                    | {"cell": f"({m},{n}) drum({side})",
-                                       "pass": rep.violations == 0})
+                    geometry.append(_basin_check(
+                        build_drum(m, n, side=side).cell, args.samples,
+                        args.seed, cell=f"({m},{n}) drum({side})"))
     arithmetic_rows = [r for r in rows if r.arithmetic]
     payload = {
         "bound": args.bound,

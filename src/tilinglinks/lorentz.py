@@ -21,6 +21,7 @@ this is safe under concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import atan, cos, pi, sin, sqrt, tan
 from typing import Optional
 
@@ -161,6 +162,7 @@ class PolyhedronRealization:
     normals: np.ndarray                 # one outward unit normal per face
     vertices: tuple[LorentzVector, ...]
     incidence: tuple[tuple[int, ...], ...]  # faces through each vertex
+    gram: np.ndarray                    # the presentation's Gram, in floats
 
     def recomputed_gram(self) -> np.ndarray:
         E = self.normals
@@ -171,7 +173,8 @@ def realize(p: CoxeterPresentation) -> PolyhedronRealization:
     """Factor gram/2 = N J N^T through the nonzero eigenpairs; rows of N are
     the face normals.  Vertices come from triples of face planes."""
     validate_presentation(p)
-    A = p.gram_float() / 2
+    G = p.gram_float()
+    A = G / 2
     s = A.shape[0]
     evals, evecs = np.linalg.eigh(A)
     order = np.argsort(evals)
@@ -189,12 +192,12 @@ def realize(p: CoxeterPresentation) -> PolyhedronRealization:
         raise VerificationError("no interior reference point found")
     if x0[3] < 0:  # fix global time orientation (T J T = J keeps products)
         N[:, 3] *= -1
-    err = np.max(np.abs(2 * (N @ J @ N.T) - p.gram_float()))
+    err = np.max(np.abs(2 * (N @ J @ N.T) - G))
     if err > 1e-8:
         raise VerificationError(f"normals fail to reproduce the Gram matrix ({err})")
 
     verts, incid = _find_vertices(N)
-    return PolyhedronRealization(p, N, verts, incid)
+    return PolyhedronRealization(p, N, verts, incid, G)
 
 
 def _find_vertices(N):
@@ -495,15 +498,69 @@ def edge_midpoint(cell: IdealCell, i: int, j: int) -> np.ndarray:
 
 # -- sampling verification ---------------------------------------------------
 
-def _halton(count, start, base):
-    idx = np.arange(start, start + count, dtype=np.int64)
-    out = np.zeros(count)
+# Halton points drawn per pass of the basin sampler.  Per-pass arrays are
+# (points x vertices), so memory does not grow with the sample count.
+BASIN_BATCH = 8192
+# A basin check passes only if at most this fraction of its samples was
+# skipped (near a wall or with an ambiguous sign pattern).
+MAX_SKIP_FRACTION = 0.01
+# Size bound of the per-base table of low-digit radical inverses.
+HALTON_TABLE = 1 << 14
+
+
+@lru_cache(maxsize=None)
+def _halton_low_digits(base):
+    """(table, span, f): the radical inverses of 0..span-1, where
+    span = base**t is the largest power of `base` up to HALTON_TABLE, and
+    f = base**-t, the digit weight they end on.  Built digit by digit,
+    lowest first, like the high digits in _halton, so a table entry is the
+    exact partial sum _halton continues."""
+    span = base
+    while span * base <= HALTON_TABLE:
+        span *= base
+    idx = np.arange(span)
+    out = np.zeros(span)
     f = 1.0
     while idx.any():
         f /= base
-        out += f * (idx % base)
-        idx //= base
+        idx, digit = np.divmod(idx, base)
+        out += f * digit
+    out.flags.writeable = False  # shared by every caller through the cache
+    return out, span, f
+
+
+def _halton(count, start, base):
+    """Radical inverses of start..start+count-1 in `base`.
+
+    Each is the sum over its digits, lowest first, of digit * base**-k with
+    the weight formed by repeated division.  The low digits come from a
+    table; the high ones are the same over each run of `span` consecutive
+    indices, so they are added run by run.
+    """
+    table, span, f_low = _halton_low_digits(base)
+    high, low = divmod(start, span)
+    out = table[np.arange(low, low + count) % span]
+    for k in range((low + count - 1) // span + 1):
+        run = slice(max(0, k * span - low), (k + 1) * span - low)
+        x, f = high + k, f_low
+        while x:
+            f /= base
+            x, digit = divmod(x, base)
+            out[run] += f * digit
     return out
+
+
+def _interior_points(cell, start, count):
+    """Unit hyperboloid points for the Halton indices start..start+count-1
+    that fall inside the cell, in index order."""
+    pts = np.stack([_halton(count, start, 2), _halton(count, start, 3),
+                    _halton(count, start, 5)], axis=1) * 2 - 1
+    r2 = np.einsum("ij,ij->i", pts, pts)
+    pts = pts[r2 < 0.96]
+    r2 = np.einsum("ij,ij->i", pts, pts)
+    X = np.hstack([2 * pts / (1 - r2)[:, None],
+                   ((1 + r2) / (1 - r2))[:, None]])
+    return X[np.all(X @ J @ cell.normals.T < -1e-12, axis=1)]
 
 
 @dataclass(frozen=True)
@@ -515,10 +572,21 @@ class CanonicalCheckReport:
     tolerance: float
     seed: int
     max_margin_at_walls: float
+    skipped_near_wall: int
+    skipped_ambiguous: int
+
+    @property
+    def passed(self) -> bool:
+        """No violation, at least one kept sample, and at most
+        MAX_SKIP_FRACTION of the samples skipped."""
+        return (self.violations == 0 and self.samples > self.skipped
+                and self.skipped <= MAX_SKIP_FRACTION * self.samples)
 
     def json_dict(self):
         return {"cell": self.cell, "samples": self.samples,
                 "violations": self.violations, "skipped": self.skipped,
+                "skipped_near_wall": self.skipped_near_wall,
+                "skipped_ambiguous": self.skipped_ambiguous,
                 "tolerance": self.tolerance, "seed": self.seed,
                 "max_margin_at_walls": self.max_margin_at_walls}
 
@@ -530,54 +598,50 @@ def verify_basins(cell: IdealCell, samples: int = 10000,
 
     Points come from a Halton sequence in a box containing the cell (in ball
     coordinates), rejection-filtered to the interior; `seed` offsets the
-    sequence.  Samples within WALL_SKIP_TOL of a basin wall are skipped and
-    counted; `max_margin_at_walls` records the largest top-two distance gap
-    among skipped samples.
+    sequence.  The first `samples` interior points are used, drawn
+    BASIN_BATCH at a time.  A sample is skipped, and counted by reason, when
+    its top-two horoball distance gap is below WALL_SKIP_TOL
+    (`skipped_near_wall`; `max_margin_at_walls` is the largest such gap) or
+    when its reflection signs place it in no basin or in more than one
+    (`skipped_ambiguous`).  Every other sample is kept, and is a violation
+    when its basin is not its nearest horoball.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    if seed < 0:  # a negative Halton index never runs out of digits
+        raise DomainError(f"seed must be >= 0, got {seed}")
     w = cell.horoballs
     signs = np.sign(np.round(cell.vertices @ J @ cell.reflections.T, 12))
-    kept = viol = skipped = 0
+    # a point lies in vertex i's basin iff no plane separates their signs
+    pos = (signs > 0).T.astype(np.int64)
+    neg = (signs < 0).T.astype(np.int64)
+    done = viol = near_wall = ambiguous = 0
     max_margin = 0.0
     start = 1 + seed * 1_000_003
-    batch = max(4 * samples, 20000)
-    while kept + skipped < samples:
-        pts = np.stack([_halton(batch, start, 2), _halton(batch, start, 3),
-                        _halton(batch, start, 5)], axis=1) * 2 - 1
-        start += batch
-        r2 = np.einsum("ij,ij->i", pts, pts)
-        pts = pts[r2 < 0.96]
-        r2 = np.einsum("ij,ij->i", pts, pts)
-        X = np.hstack([2 * pts / (1 - r2)[:, None],
-                       ((1 + r2) / (1 - r2))[:, None]])
-        interior = np.all(X @ J @ cell.normals.T < -1e-12, axis=1)
-        X = X[interior]
+    while done < samples:
+        X = _interior_points(cell, start, BASIN_BATCH)[:samples - done]
+        start += BASIN_BATCH
+        done += len(X)
         prox = -(X @ J @ w.T)          # -<x, w_i>, monotone in distance
+        # the two smallest values; where their gap is kept, the nearest
+        # horoball is unique
+        top2 = np.partition(prox, 1, axis=1)
+        gap = np.log(top2[:, 1]) - np.log(top2[:, 0])
+        wall = gap < WALL_SKIP_TOL
         side = X @ J @ cell.reflections.T
-        for row in range(len(X)):
-            if kept + skipped >= samples:
-                break
-            p = prox[row]
-            order = np.argsort(p)
-            gap = np.log(p[order[1]]) - np.log(p[order[0]])
-            if gap < WALL_SKIP_TOL:
-                skipped += 1
-                max_margin = max(max_margin, gap)
-                continue
-            cands = []
-            for i in range(len(w)):
-                mask = signs[i] != 0
-                if np.all(signs[i][mask] * side[row][mask] >= 0):
-                    cands.append(i)
-            if len(cands) != 1:
-                skipped += 1
-                continue
-            kept += 1
-            if cands[0] != order[0]:
-                viol += 1
-    return CanonicalCheckReport(cell.kind, kept + skipped, viol, skipped,
-                                WALL_SKIP_TOL, seed, float(max_margin))
+        basin = ((side < 0).astype(np.int64) @ pos
+                 + (side > 0).astype(np.int64) @ neg) == 0
+        single = basin.sum(axis=1) == 1
+        ok = single & ~wall
+        near_wall += int(wall.sum())
+        ambiguous += int((~single & ~wall).sum())
+        viol += int((basin[ok].argmax(axis=1)
+                     != prox[ok].argmin(axis=1)).sum())
+        if wall.any():
+            max_margin = max(max_margin, float(gap[wall].max()))
+    return CanonicalCheckReport(cell.kind, samples, viol,
+                                near_wall + ambiguous, WALL_SKIP_TOL, seed,
+                                max_margin, near_wall, ambiguous)
 
 
 def drum_symmetries_ok(d: DrumGeometry, tol: float = TOL) -> bool:
@@ -585,9 +649,9 @@ def drum_symmetries_ok(d: DrumGeometry, tol: float = TOL) -> bool:
     V = d.cell.vertices
     for g in d.cell.isometries:
         img = (g @ V.T).T
-        for v in img:
-            if not any(np.linalg.norm(v - u) < tol * 10 for u in V):
-                return False
+        dist = np.linalg.norm(img[:, None, :] - V[None, :, :], axis=2)
+        if not np.all(np.any(dist < tol * 10, axis=1)):
+            return False
     return True
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommand outputs, exit codes, canonical JSON,
 and seeded reproducibility."""
 
+import dataclasses
 import io
 import json
 
@@ -159,6 +160,37 @@ def test_nonpositive_samples_exit_2(samples):
     code, out = run_cli("report", "--bound", "4", "--with-geometry",
                         "--samples", samples)
     assert code == 2 and out == ""
+
+
+def test_negative_seed_exit_2():
+    # a negative Halton start index never ran out of digits: no exit at all
+    code, out = run_cli("geometry-verify", "--cell", "tetrahedron",
+                        "--samples", "10", "--seed", "-1")
+    assert code == 2 and out == ""
+    code, out = run_cli("report", "--bound", "4", "--with-geometry",
+                        "--seed", "-1")
+    assert code == 2 and out == ""
+
+
+def test_basin_check_without_evidence_fails(monkeypatch):
+    real = cli.verify_basins
+
+    def all_skipped(cell, samples, seed):
+        rep = real(cell, samples=samples, seed=seed)
+        return dataclasses.replace(rep, skipped=samples,
+                                   skipped_near_wall=samples)
+
+    monkeypatch.setattr(cli, "verify_basins", all_skipped)
+    code, out = run_cli("geometry-verify", "--cell", "octahedron",
+                        "--samples", "50", "--format", "json")
+    doc = json.loads(out)
+    assert code == 3 and doc["all_pass"] is False
+    assert doc["reports"][0]["violations"] == 0
+    assert doc["reports"][0]["pass"] is False
+    code, out = run_cli("report", "--bound", "4", "--with-geometry",
+                        "--samples", "50")
+    assert code == 0
+    assert "violations=0 samples=50 FAIL" in out and "PASS" not in out
 
 
 def test_out_file_unwritable_exit_2(tmp_path, capsys):

@@ -2,6 +2,7 @@
 independent upper-half-space oracle, realizations, drums, Platonic cells,
 and basin verification."""
 
+import dataclasses
 from math import cos, log, pi, sin, sqrt
 
 import numpy as np
@@ -11,7 +12,9 @@ from tilinglinks.coxeter import (build_hyperbolic_presentation,
                                  build_presentation,
                                  build_spherical_presentation)
 from tilinglinks.errors import DomainError, GeometryError
-from tilinglinks.lorentz import (J, build_drum, build_platonic_cell,
+from tilinglinks.lorentz import (J, WALL_SKIP_TOL, CanonicalCheckReport,
+                                 _halton,
+                                 build_drum, build_platonic_cell,
                                  classify_point, drum_symmetries_ok,
                                  edge_midpoint, horoball_distance, mdot,
                                  polygon_edge_and_angle, random_lorentz_transform,
@@ -160,8 +163,12 @@ def test_ideal_vertices_are_null():
                 assert q > 1e-9
 
 
+def test_realization_keeps_float_gram():
+    p = build_hyperbolic_presentation(6, 4)
+    assert np.array_equal(realize(p).gram, p.gram_float())
+
+
 def test_isometry_invariance():
-    import dataclasses
     p = build_hyperbolic_presentation(6, 4)
     r = realize(p)
     T = random_lorentz_transform(11)
@@ -252,6 +259,16 @@ def test_drum_symmetries():
         d = build_drum(m, n, side=side)
         assert len(d.cell.isometries) == 4 * side
         assert drum_symmetries_ok(d)
+
+
+def test_drum_symmetries_reject_perturbed_isometry():
+    d = build_drum(6, 4, side=4)
+    bent = list(d.cell.isometries)
+    bent[3] = bent[3] @ np.diag([1.0, 1.0, 1.0 + 1e-6, 1.0])
+    broken = dataclasses.replace(
+        d, cell=dataclasses.replace(d.cell, isometries=tuple(bent)))
+    assert drum_symmetries_ok(d)
+    assert not drum_symmetries_ok(broken)
 
 
 def test_drum_requires_hyperbolic():
@@ -385,6 +402,165 @@ def test_basin_report_reproducible():
     r1 = verify_basins(cell, 800, seed=5)
     r2 = verify_basins(cell, 800, seed=6)
     assert r1.seed != r2.seed
+
+
+def _reference_halton(count, start, base):
+    """Radical inverses, one digit of every index per step."""
+    idx = np.arange(start, start + count, dtype=np.int64)
+    out = np.zeros(count)
+    f = 1.0
+    while idx.any():
+        f /= base
+        out += f * (idx % base)
+        idx //= base
+    return out
+
+
+@pytest.mark.parametrize("start", [1, 2, 16383, 16384, 1 + 3 * 1_000_003,
+                                   1 + 999 * 1_000_003, 2**40 + 17])
+def test_halton_matches_digit_loop(start):
+    for count in (1, 7, 8192, 40000):
+        for base in (2, 3, 5):
+            got = _halton(count, start, base)
+            assert got.tobytes() == _reference_halton(count, start, base).tobytes()
+
+
+def reference_basins(cell, samples, seed):
+    """The basin sampler as a per-sample loop (an argsort and a sign test
+    against every vertex for each point), kept as the reference for
+    verify_basins."""
+    w = cell.horoballs
+    signs = np.sign(np.round(cell.vertices @ J @ cell.reflections.T, 12))
+    kept = viol = near_wall = ambiguous = 0
+    max_margin = 0.0
+    start = 1 + seed * 1_000_003
+    batch = max(4 * samples, 20000)
+    while kept + near_wall + ambiguous < samples:
+        # _halton is checked digit for digit against _reference_halton
+        pts = np.stack([_halton(batch, start, 2), _halton(batch, start, 3),
+                        _halton(batch, start, 5)], axis=1) * 2 - 1
+        start += batch
+        r2 = np.einsum("ij,ij->i", pts, pts)
+        pts = pts[r2 < 0.96]
+        r2 = np.einsum("ij,ij->i", pts, pts)
+        X = np.hstack([2 * pts / (1 - r2)[:, None],
+                       ((1 + r2) / (1 - r2))[:, None]])
+        X = X[np.all(X @ J @ cell.normals.T < -1e-12, axis=1)]
+        prox = -(X @ J @ w.T)
+        side = X @ J @ cell.reflections.T
+        for row in range(len(X)):
+            if kept + near_wall + ambiguous >= samples:
+                break
+            p = prox[row]
+            order = np.argsort(p)
+            gap = np.log(p[order[1]]) - np.log(p[order[0]])
+            if gap < WALL_SKIP_TOL:
+                near_wall += 1
+                max_margin = max(max_margin, gap)
+                continue
+            # vertex i's basin: the same sign as i on every plane off i
+            inside = np.all((signs * side[row] >= 0) | (signs == 0), axis=1)
+            cands = np.flatnonzero(inside)
+            if len(cands) != 1:
+                ambiguous += 1
+                continue
+            kept += 1
+            if cands[0] != order[0]:
+                viol += 1
+    return CanonicalCheckReport(cell.kind, samples, viol,
+                                near_wall + ambiguous, WALL_SKIP_TOL, seed,
+                                float(max_margin), near_wall, ambiguous)
+
+
+def octahedron_one_plane():
+    # one symmetry plane cannot single out one of six basins
+    full = build_platonic_cell("octahedron")
+    return dataclasses.replace(full, reflections=full.reflections[:1])
+
+
+def octahedron_rolled_horoballs():
+    # each horoball moved to the next vertex: every kept sample violates
+    full = build_platonic_cell("octahedron")
+    return dataclasses.replace(full,
+                               horoballs=np.roll(full.horoballs, 1, axis=0))
+
+
+def octahedron_twin_horoballs():
+    # horoball 1 replaced by horoball 0 moved about 1e-9 farther out: the
+    # samples nearest to both lie within WALL_SKIP_TOL of a wall
+    full = build_platonic_cell("octahedron")
+    w = full.horoballs.copy()
+    w[1] = w[0] * (1 + 1e-9)
+    return dataclasses.replace(full, horoballs=w)
+
+
+REFERENCE_CELLS = {
+    "tetrahedron": lambda: build_platonic_cell("tetrahedron"),
+    "octahedron": lambda: build_platonic_cell("octahedron"),
+    # built by hand so that every count of the report is nonzero somewhere
+    "octahedron, one plane": octahedron_one_plane,
+    "octahedron, rolled horoballs": octahedron_rolled_horoballs,
+    "octahedron, twin horoballs": octahedron_twin_horoballs,
+    **{f"({m},{n}) drum({side})":
+       (lambda m=m, n=n, side=side: build_drum(m, n, side=side).cell)
+       for m, n in [(5, 7), (5, 10), (7, 9), (50, 49)] for side in (m, n)},
+}
+
+
+@pytest.mark.parametrize("samples", [1, 37, 2500, 20000])
+@pytest.mark.parametrize("name", sorted(REFERENCE_CELLS))
+def test_basins_match_per_sample_reference(name, samples):
+    # 20000 samples take several BASIN_BATCH passes
+    cell = REFERENCE_CELLS[name]()
+    for seed in (0, 3, 999):
+        assert verify_basins(cell, samples, seed) \
+            == reference_basins(cell, samples, seed), (name, samples, seed)
+
+
+@pytest.mark.parametrize("make_cell", [
+    lambda: build_platonic_cell("tetrahedron"),
+    lambda: build_platonic_cell("octahedron"),
+    lambda: build_drum(6, 6, side=6).cell,
+    lambda: build_drum(6, 4, side=4).cell,
+    lambda: build_drum(6, 4, side=6).cell,
+])
+def test_basin_report_pinned_seed_0(make_cell):
+    # the acceptance cells at 10^4 samples, as reported before the sampler
+    # was vectorized
+    cell = make_cell()
+    assert verify_basins(cell, samples=10000, seed=0) == CanonicalCheckReport(
+        cell.kind, samples=10000, violations=0, skipped=0,
+        tolerance=WALL_SKIP_TOL, seed=0, max_margin_at_walls=0.0,
+        skipped_near_wall=0, skipped_ambiguous=0)
+
+
+def test_basins_partial_reflections_skip_as_ambiguous():
+    rep = verify_basins(octahedron_one_plane(), samples=500, seed=0)
+    assert rep.skipped_ambiguous > 0
+    assert rep.skipped_near_wall + rep.skipped_ambiguous == rep.skipped
+    assert rep.json_dict()["skipped_ambiguous"] == rep.skipped_ambiguous
+    assert not rep.passed
+
+
+def test_basins_count_violations_and_wall_skips():
+    rolled = verify_basins(octahedron_rolled_horoballs(), samples=500)
+    assert rolled.violations == 500 and not rolled.passed
+    twin = verify_basins(octahedron_twin_horoballs(), samples=500)
+    assert twin.skipped_near_wall > 0 and twin.skipped_ambiguous == 0
+    assert 0 < twin.max_margin_at_walls < WALL_SKIP_TOL
+    assert twin.json_dict()["skipped_near_wall"] == twin.skipped
+    assert not twin.passed
+
+
+def test_basin_report_passed_needs_evidence():
+    ok = verify_basins(build_platonic_cell("tetrahedron"), samples=200)
+    assert ok.passed
+    assert not dataclasses.replace(ok, violations=1).passed
+    # every sample skipped: nothing kept
+    assert not dataclasses.replace(ok, skipped=200, skipped_near_wall=200).passed
+    # 1 % of the samples skipped is allowed, one more is not
+    assert dataclasses.replace(ok, skipped=2, skipped_near_wall=2).passed
+    assert not dataclasses.replace(ok, skipped=3, skipped_ambiguous=3).passed
 
 
 def test_basin_walls_lie_in_symmetry_planes():
