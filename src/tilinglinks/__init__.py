@@ -26,7 +26,7 @@ from .lorentz import (CanonicalCheckReport, DrumGeometry, IdealCell,
                       tiling_angle_oracle, tiling_angles, verify_basins,
                       verify_gluing_angles)
 from .tracefields import (TraceFieldResult, build_worksheet,
-                          gprime_determinant, invariant_trace_field)
+                          invariant_trace_field)
 
 __all__ = [
     "AlgebraicNumber", "ArithmeticityCertificate", "CanonicalCheckReport",
@@ -37,10 +37,10 @@ __all__ = [
     "build_platonic_cell", "build_spherical_presentation", "build_worksheet",
     "check_arithmetic", "classification_rows", "classify_geometry",
     "commensurability_key", "commensurable", "embed_cos",
-    "enumerate_cyclic_products", "geometry_of", "gprime_determinant",
-    "invariant_trace_field", "is_algebraic_integer", "is_rational",
-    "make_context", "minimal_orbifold_degree", "minimal_polynomial",
-    "niven_filter", "rank_and_signature", "realize",
+    "enumerate_cyclic_products", "geometry_of", "invariant_trace_field",
+    "is_algebraic_integer", "is_rational", "make_context",
+    "minimal_orbifold_degree", "minimal_polynomial", "niven_filter",
+    "rank_and_signature", "realize",
     "solve_ultraparallel_by_minor", "tiling_angle_oracle", "tiling_angles",
     "trace_field_table", "verify_basins", "verify_gluing_angles",
 ]

@@ -20,8 +20,8 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from .coxeter import (CoxeterPresentation, build_hyperbolic_presentation,
-                      build_spherical_presentation, enumerate_cyclic_products,
-                      geometry_of, validate_presentation)
+                      enumerate_cyclic_products, geometry_of,
+                      validate_presentation)
 from .errors import DomainError, VerificationError
 from .fields import (AlgebraicNumber, as_json_dict, embed_cos,
                      is_algebraic_integer, is_rational, make_context,
@@ -155,10 +155,6 @@ def arithmetic_sweep(m_max: int, n_max: int) -> list[SweepRow]:
             verdict, witness = hyperbolic_verdict(m, n)
             rows.append(SweepRow(m, n, verdict, witness))
     return rows
-
-
-def spherical_certificate(m: int, n: int) -> ArithmeticityCertificate:
-    return check_arithmetic(build_spherical_presentation(m, n))
 
 
 # -- serialization -----------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -270,7 +269,3 @@ def rows_to_csv(rows) -> str:
         w.writerow([r.m, r.n, r.geometry, r.arithmetic, r.trace_field,
                     r.min_orbifold_degree, r.commensurability_class_id])
     return buf.getvalue()
-
-
-def rows_to_json(rows) -> str:
-    return json.dumps([r.__dict__ for r in rows], sort_keys=True, indent=2)

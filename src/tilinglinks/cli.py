@@ -25,7 +25,7 @@ from . import __version__
 from .arithmeticity import (arithmetic_sweep, certificate_json_dict,
                             check_arithmetic)
 from .classify import (arithmetic_status, classification_rows,
-                       classify_geometry, commensurable,
+                       classify_geometry, commensurable, is_valid_type,
                        minimal_orbifold_degree, normalize_type, rows_to_csv)
 from .coxeter import (build_presentation, build_hyperbolic_presentation,
                       build_spherical_presentation,
@@ -141,7 +141,6 @@ def cmd_classify(args, out):
     payload = {"m": args.m, "n": args.n, "geometry": gc.tiling.geometry,
                "exists": gc.exists, "vertex_count": gc.vertex_count,
                "note": gc.note}
-    from .classify import is_valid_type
     if gc.exists and is_valid_type(args.m, args.n):
         status = arithmetic_status(args.m, args.n)
         payload["arithmetic"] = status.arithmetic
@@ -217,6 +216,9 @@ def _geometry_reports(m, n, samples, seed):
 
 
 def cmd_geometry_verify(args, out):
+    if (args.m is None) != (args.n is None):
+        raise DomainError(
+            "give both --m and --n for the drum checks, or neither")
     _check_sampling(args.samples, args.seed)
     reports = []
     if args.cell:
@@ -224,7 +226,7 @@ def cmd_geometry_verify(args, out):
             reports.append(_basin_check(build_platonic_cell(kind),
                                         args.samples, args.seed,
                                         check=f"{kind}_basins"))
-    if args.m is not None and args.n is not None:
+    if args.m is not None:
         _check_params(args.m, args.n)
         reports += _geometry_reports(args.m, args.n, args.samples, args.seed)
     if not reports:
@@ -275,6 +277,7 @@ def cmd_report(args, out):
                     geometry.append(_basin_check(
                         build_drum(m, n, side=side).cell, args.samples,
                         args.seed, cell=f"({m},{n}) drum({side})"))
+    ok = all(g["pass"] for g in geometry)
     arithmetic_rows = [r for r in rows if r.arithmetic]
     payload = {
         "bound": args.bound,
@@ -287,7 +290,7 @@ def cmd_report(args, out):
     }
     if args.format == "json":
         out.write(_dump(payload) + "\n")
-        return 0
+        return 0 if ok else 3
     out.write(f"Right-angled tiling link classification, 3 <= m,n <= {args.bound}\n\n")
     out.write(rows_to_csv(rows).replace(",", "\t"))
     out.write("\narithmetic types: "
@@ -298,7 +301,7 @@ def cmd_report(args, out):
             out.write(f"  {g['cell']:20s} violations={g['violations']} "
                       f"samples={g['samples']} "
                       f"{'PASS' if g['pass'] else 'FAIL'}\n")
-    return 0
+    return 0 if ok else 3
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -163,38 +163,54 @@ def build_presentation(m: int, n: int) -> CoxeterPresentation:
         "(the classifier handles Euclidean types by lookup)")
 
 
-# -- exact determinants ------------------------------------------------------
+# -- exact characteristic polynomial and determinant -------------------------
 
-def exact_det(rows: Sequence[Sequence[AlgebraicNumber]]) -> AlgebraicNumber:
-    """Determinant over the exact field, expansion over column subsets."""
+def _charpoly(rows):
+    """Exact characteristic polynomial by Berkowitz's division-free method.
+
+    Returns coefficients [1, c1, ..., cs] of det(lambda*I - rows) =
+    lambda^s + c1 lambda^(s-1) + ... + cs.  Step r borders the leading r x r
+    block A with the column S, the row R and the corner a; the next
+    polynomial is the current one times the lower-triangular Toeplitz matrix
+    whose first column is 1, -a, -R S, -R A S, ..., -R A^(r-1) S
+    (Berkowitz, Inf. Process. Lett. 18, 1984).  Products with a zero factor
+    are skipped.
+    """
     s = len(rows)
     ctx = rows[0][0].ctx
     one = AlgebraicNumber.rational(ctx, 1)
-    table = {0: one}
+    zero = AlgebraicNumber.rational(ctx, 0)
+
+    def dot(xs, ys):
+        acc = zero
+        for x, y in zip(xs, ys):
+            if not (x.is_zero or y.is_zero):
+                acc = acc + x * y
+        return acc
+
+    coeffs = [one]
     for r in range(s):
-        nxt = {}
-        for mask, val in table.items():
-            if val.is_zero:
-                continue
-            sign_flip = 0
-            for c in range(s):
-                bit = 1 << c
-                if mask & bit:
-                    sign_flip += 1
-                    continue
-                a = rows[r][c]
-                if a.is_zero:
-                    continue
-                term = val * a if sign_flip % 2 == 0 else -(val * a)
-                key = mask | bit
-                if key in nxt:
-                    nxt[key] = nxt[key] + term
-                else:
-                    nxt[key] = term
-        table = nxt
-        if not table:
-            return AlgebraicNumber.rational(ctx, 0)
-    return table.get((1 << s) - 1, AlgebraicNumber.rational(ctx, 0))
+        block = [row[:r] for row in rows[:r]]
+        v = [rows[i][r] for i in range(r)]  # S, then A S, A^2 S, ...
+        col = [-rows[r][r]]
+        for k in range(r):
+            col.append(-dot(rows[r][:r], v))
+            if k < r - 1:
+                v = [dot(row, v) for row in block]
+        # Toeplitz product; coeffs[0] == 1 contributes col[i - 1] as it is
+        coeffs = [one] + [
+            (coeffs[i] if i <= r else zero) + col[i - 1]
+            + dot([col[i - 1 - j] for j in range(1, i)], coeffs[1:i])
+            for i in range(1, r + 2)]
+    return coeffs
+
+
+def exact_det(rows: Sequence[Sequence[AlgebraicNumber]]) -> AlgebraicNumber:
+    """Determinant over the exact field: (-1)^s times the constant term of
+    the characteristic polynomial of the s x s matrix."""
+    s = len(rows)
+    c = _charpoly(rows)[s]
+    return -c if s % 2 else c
 
 
 def solve_ultraparallel_by_minor(m: int, n: int):
@@ -253,48 +269,6 @@ def solve_ultraparallel_by_minor(m: int, n: int):
 # -- rank and signature ------------------------------------------------------
 
 GramLike = Union[CoxeterPresentation, Sequence[Sequence[AlgebraicNumber]]]
-
-
-def _charpoly(rows):
-    """Exact characteristic polynomial via Faddeev-LeVerrier.
-
-    Returns coefficients [1, c1, ..., cs] of lambda^s + c1 lambda^(s-1) + ...
-    """
-    s = len(rows)
-    ctx = rows[0][0].ctx
-    zero = AlgebraicNumber.rational(ctx, 0)
-
-    def mat_mul(X, Y):
-        out = []
-        for i in range(s):
-            row = []
-            for j in range(s):
-                acc = zero
-                for k in range(s):
-                    a, b = X[i][k], Y[k][j]
-                    if not (a.is_zero or b.is_zero):
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return out
-
-    def trace(X):
-        acc = zero
-        for i in range(s):
-            acc = acc + X[i][i]
-        return acc
-
-    coeffs = [AlgebraicNumber.rational(ctx, 1)]
-    M = [list(r) for r in rows]
-    c = -trace(M)
-    coeffs.append(c)
-    for k in range(2, s + 1):
-        for i in range(s):
-            M[i][i] = M[i][i] + coeffs[-1]
-        M = mat_mul([list(r) for r in rows], M)
-        c = -(trace(M) / k)
-        coeffs.append(c)
-    return coeffs
 
 
 def _k0_congruent_gram(p: CoxeterPresentation):
@@ -369,14 +343,19 @@ def validate_presentation(p: CoxeterPresentation) -> tuple[int, int, int]:
     return rank, pos, neg
 
 
-# -- cyclic products ---------------------------------------------------------
+# -- diagram adjacency and cyclic products -----------------------------------
+
+def diagram_adjacency(p: CoxeterPresentation) -> list[list[bool]]:
+    """adj[i][j]: faces i != j (0-based) share a nonzero Gram entry."""
+    return [[not p.gram[i][j].is_zero and i != j for j in range(p.size)]
+            for i in range(p.size)]
+
 
 def enumerate_cyclic_products(p: CoxeterPresentation):
     """All cyclic products b_I over simple cycles of the diagram, including
     every 2-cycle a_ij * a_ji; deterministic order (by length, then faces)."""
     s = p.size
-    adj = [[not p.gram[i][j].is_zero and i != j for j in range(s)]
-           for i in range(s)]
+    adj = diagram_adjacency(p)
     out = []
     for i in range(s):
         for j in range(i + 1, s):

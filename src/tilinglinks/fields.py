@@ -344,10 +344,6 @@ class AlgebraicNumber:
 
     # -- numeric embedding -------------------------------------------------
 
-    def eval_embedding(self, index: int = 0, prec: int = _DEFAULT_PREC):
-        """Value under the index-th real embedding (0 = principal)."""
-        return self._eval_certified(index, prec)[0]
-
     def _eval_certified(self, index, prec):
         """(value, error bound) at the given working precision."""
         gvals = _generator_values(self.ctx.L, prec)

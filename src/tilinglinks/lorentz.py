@@ -67,21 +67,6 @@ def horoball_distance(x, w):
     return float(np.log(-mdot(x, w)))
 
 
-def ball_to_hyperboloid(p):
-    p = np.asarray(p, float)
-    r2 = p @ p
-    return np.array([*(2 * p / (1 - r2)), (1 + r2) / (1 - r2)])
-
-
-def normalize_point(x):
-    x = np.asarray(x, float)
-    q = mdot(x, x)
-    if q >= 0:
-        raise GeometryError("not a timelike vector")
-    x = x / sqrt(-q)
-    return x if x[3] > 0 else -x
-
-
 # -- tiling angles -----------------------------------------------------------
 
 def tiling_angles(m: int, n: int) -> tuple[float, float]:

@@ -21,7 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .coxeter import CoxeterPresentation, enumerate_cyclic_products, exact_det
+from .coxeter import (CoxeterPresentation, diagram_adjacency,
+                      enumerate_cyclic_products, exact_det)
 from .errors import DomainError, VerificationError
 from .fields import AlgebraicNumber, as_json_dict, is_rational
 
@@ -53,57 +54,36 @@ class TraceFieldResult:
     invariant_field: FieldDescriptor
 
 
-def _adjacency(p):
-    return [[not p.gram[i][j].is_zero and i != j for j in range(p.size)]
-            for i in range(p.size)]
+def _tree_paths(p, rng=None):
+    """Diagram paths from F1 along a spanning tree, as 0-based tuples.
 
-
-def _bfs_paths(p):
-    """Shortest paths from F1, lowest-index tie-breaking; 0-based lists."""
-    adj = _adjacency(p)
-    parent = {0: None}
+    Without `rng` the tree is breadth-first: the reached face of least
+    (depth, index) is expanded next.  With a seeded `rng` the face reached
+    last is expanded next, and the unreached neighbours of each expanded
+    face are shuffled before they are reached.
+    """
+    adj = diagram_adjacency(p)
+    parent, depth = {0: None}, {0: 0}
     frontier = [0]
     while frontier:
-        nxt = []
-        for u in frontier:
-            for v in range(p.size):
-                if adj[u][v] and v not in parent:
-                    parent[v] = u
-                    nxt.append(v)
-        frontier = sorted(nxt)
+        if rng is None:
+            u = min(frontier, key=lambda v: (depth[v], v))
+            frontier.remove(u)
+        else:
+            u = frontier.pop()
+        new = [v for v in range(p.size) if adj[u][v] and v not in parent]
+        if rng is not None:
+            rng.shuffle(new)
+        for v in new:
+            parent[v], depth[v] = u, depth[u] + 1
+        frontier += new
     if len(parent) != p.size:
         raise DomainError("Coxeter diagram is disconnected")
     paths = []
     for r in range(p.size):
-        path, cur = [], r
-        while cur is not None:
-            path.append(cur)
-            cur = parent[cur]
-        paths.append(tuple(reversed(path)))
-    return paths
-
-
-def _random_paths(p, seed):
-    """Random spanning-tree paths from F1 (randomized DFS)."""
-    rng = random.Random(seed)
-    adj = _adjacency(p)
-    parent = {0: None}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        nbrs = [v for v in range(p.size) if adj[u][v] and v not in parent]
-        rng.shuffle(nbrs)
-        for v in nbrs:
-            parent[v] = u
-            stack.append(v)
-    if len(parent) != p.size:
-        raise DomainError("Coxeter diagram is disconnected")
-    paths = []
-    for r in range(p.size):
-        path, cur = [], r
-        while cur is not None:
-            path.append(cur)
-            cur = parent[cur]
+        path = [r]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
         paths.append(tuple(reversed(path)))
     return paths
 
@@ -116,12 +96,10 @@ def build_worksheet(p: CoxeterPresentation, strategy: str = "bfs",
     "random" draws a random spanning tree (seeded), which exercises the
     square-class invariance of the determinant.
     """
-    if strategy == "bfs":
-        paths = _bfs_paths(p)
-    elif strategy == "random":
-        paths = _random_paths(p, seed)
-    else:
+    if strategy not in ("bfs", "random"):
         raise DomainError(f"unknown path strategy {strategy!r}")
+    paths = _tree_paths(p, random.Random(seed) if strategy == "random"
+                        else None)
 
     coeffs = []
     for path in paths:
@@ -155,10 +133,6 @@ def build_worksheet(p: CoxeterPresentation, strategy: str = "bfs",
     return TraceFieldWorksheet(
         p, tuple(tuple(x + 1 for x in path) for path in paths),
         tuple(coeffs), tuple(b + 1 for b in basis), gp, det)
-
-
-def gprime_determinant(w: TraceFieldWorksheet) -> AlgebraicNumber:
-    return w.det
 
 
 def squarefree_part(value: Fraction) -> tuple[Fraction, int]:

@@ -2,6 +2,8 @@
 trace-field table, commensurability as an equivalence relation, and
 minimal-orbifold degrees."""
 
+import contextlib
+import io
 import itertools
 import json
 
@@ -11,8 +13,9 @@ from tilinglinks.classify import (NOT_APPLICABLE, arithmetic_status,
                                   classification_rows, classify_geometry,
                                   commensurability_key, commensurable,
                                   is_valid_type, minimal_orbifold_degree,
-                                  rows_to_csv, rows_to_json,
-                                  trace_field_table, valid_types)
+                                  rows_to_csv, trace_field_table,
+                                  valid_types)
+from tilinglinks.cli import main
 from tilinglinks.errors import DomainError
 
 
@@ -210,8 +213,13 @@ def test_row_serialization():
     rows = classification_rows(6)
     csv_text = rows_to_csv(rows)
     assert csv_text.splitlines()[0].startswith("m,n,geometry")
-    data = json.loads(rows_to_json(rows))
+    # the JSON rows are the `classification` list of `report --format json`
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["report", "--bound", "6", "--format", "json"]) == 0
+    data = json.loads(buf.getvalue())["classification"]
     assert {"m", "n", "geometry", "arithmetic"} <= set(data[0])
+    assert [(d["m"], d["n"]) for d in data] == [(r.m, r.n) for r in rows]
 
 
 def test_status_agrees_with_sweep():

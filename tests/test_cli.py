@@ -152,6 +152,16 @@ def test_geometry_verify_requires_target():
     assert code == 2
 
 
+@pytest.mark.parametrize("half", [["--m", "6"], ["--n", "6"]])
+def test_geometry_verify_half_drum_pair_exit_2(half, monkeypatch, capsys):
+    # refused before any work: no basin check of the --cell runs either
+    monkeypatch.setattr(cli, "verify_basins", None)
+    code, out = run_cli("geometry-verify", "--cell", "tetrahedron", *half,
+                        "--samples", "10")
+    assert code == 2 and out == ""
+    assert "--m and --n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_nonpositive_samples_exit_2(samples):
     code, out = run_cli("geometry-verify", "--cell", "tetrahedron",
@@ -189,7 +199,7 @@ def test_basin_check_without_evidence_fails(monkeypatch):
     assert doc["reports"][0]["pass"] is False
     code, out = run_cli("report", "--bound", "4", "--with-geometry",
                         "--samples", "50")
-    assert code == 0
+    assert code == 3
     assert "violations=0 samples=50 FAIL" in out and "PASS" not in out
 
 

@@ -4,11 +4,16 @@ cyclic products."""
 
 import dataclasses
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from tilinglinks import coxeter
-from tilinglinks.coxeter import (build_hyperbolic_presentation,
+from tilinglinks.coxeter import (SPHERICAL_TYPES, _charpoly,
+                                 build_hyperbolic_presentation,
                                  build_presentation,
                                  build_spherical_presentation,
                                  enumerate_cyclic_products, exact_det,
@@ -233,6 +238,139 @@ def test_validate_presentation_all_families():
     for (m, n) in [(6, 4), (9, 5), (5, 3), (4, 3), (3, 3), (22, 49)]:
         p = build_presentation(m, n)
         assert validate_presentation(p) == (4, 3, 1)
+
+
+# -- the exact kernel against the references it replaced ----------------------
+
+def faddeev_leverrier_charpoly(rows):
+    """Reference: [1, c1, ..., cs] of det(lambda*I - rows) by
+    Faddeev-LeVerrier (divides by k at step k)."""
+    s = len(rows)
+    zero = AlgebraicNumber.rational(rows[0][0].ctx, 0)
+
+    def mat_mul(X, Y):
+        out = []
+        for i in range(s):
+            row = []
+            for j in range(s):
+                acc = zero
+                for k in range(s):
+                    a, b = X[i][k], Y[k][j]
+                    if not (a.is_zero or b.is_zero):
+                        acc = acc + a * b
+                row.append(acc)
+            out.append(row)
+        return out
+
+    def trace(X):
+        acc = zero
+        for i in range(s):
+            acc = acc + X[i][i]
+        return acc
+
+    coeffs = [AlgebraicNumber.rational(rows[0][0].ctx, 1)]
+    M = [list(r) for r in rows]
+    coeffs.append(-trace(M))
+    for k in range(2, s + 1):
+        for i in range(s):
+            M[i][i] = M[i][i] + coeffs[-1]
+        M = mat_mul([list(r) for r in rows], M)
+        coeffs.append(-(trace(M) / k))
+    return coeffs
+
+
+def subset_dp_det(rows):
+    """Reference: the determinant as a dynamic program over the sets of
+    columns used by the first r rows."""
+    s = len(rows)
+    ctx = rows[0][0].ctx
+    table = {0: AlgebraicNumber.rational(ctx, 1)}
+    for r in range(s):
+        nxt = {}
+        for mask, val in table.items():
+            if val.is_zero:
+                continue
+            sign_flip = 0
+            for c in range(s):
+                bit = 1 << c
+                if mask & bit:
+                    sign_flip += 1
+                    continue
+                a = rows[r][c]
+                if a.is_zero:
+                    continue
+                term = val * a if sign_flip % 2 == 0 else -(val * a)
+                key = mask | bit
+                nxt[key] = nxt[key] + term if key in nxt else term
+        table = nxt
+        if not table:
+            return AlgebraicNumber.rational(ctx, 0)
+    return table.get((1 << s) - 1, AlgebraicNumber.rational(ctx, 0))
+
+
+@lru_cache(maxsize=None)
+def kernel_grams():
+    """(label, rows): the K0-congruent and the raw (sqrt(D)) Gram matrix of
+    every ordered hyperbolic type with m,n <= 12, and the spherical Grams."""
+    out = []
+    for (m, n) in HYPERBOLIC_PAIRS_12:
+        p = build_hyperbolic_presentation(m, n)
+        out.append((f"({m},{n}) K0", coxeter._k0_congruent_gram(p)))
+        out.append((f"({m},{n}) raw", p.gram))
+    for (m, n) in sorted(SPHERICAL_TYPES):
+        out.append((f"({m},{n}) spherical",
+                    build_spherical_presentation(m, n).gram))
+    return out
+
+
+def test_charpoly_matches_faddeev_leverrier():
+    for label, rows in kernel_grams():
+        assert _charpoly(rows) == faddeev_leverrier_charpoly(rows), label
+
+
+def test_exact_det_matches_subset_dp_on_principal_minors():
+    # a rank-4 Gram has only singular 5x5 minors; with both ultraparallel
+    # entries set to -2, as in the minor solve's probes, most are not
+    probes = []
+    for (m, n) in UNORDERED_12:
+        p = build_hyperbolic_presentation(m, n)
+        rows = [list(r) for r in p.gram]
+        for i in (3, 4):
+            rows[i][5] = rows[5][i] = AlgebraicNumber.rational(p.ctx, -2)
+        probes.append((f"({m},{n}) probe", rows))
+    for label, rows in kernel_grams() + probes:
+        for k in (4, 5):
+            for idx in combinations(range(len(rows)), k):
+                sub = [[rows[i][j] for j in idx] for i in idx]
+                assert exact_det(sub) == subset_dp_det(sub), (label, idx)
+
+
+SMALL_RATIONALS = st.one_of(
+    st.just(0),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+@st.composite
+def symmetric_rational_matrices(draw):
+    s = draw(st.integers(1, 6))
+    a = [[Fraction(0)] * s for _ in range(s)]
+    for i in range(s):
+        for j in range(i, s):
+            a[i][j] = a[j][i] = Fraction(draw(SMALL_RATIONALS))
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_rational_matrices())
+def test_charpoly_and_det_match_sympy(a):
+    ctx = make_context(2)
+    rows = [[AlgebraicNumber.rational(ctx, x) for x in row] for row in a]
+    lam = sp.Symbol("lam")
+    want = sp.Matrix(a).charpoly(lam).all_coeffs()
+    got = [is_rational(c) for c in _charpoly(rows)]
+    assert got == [Fraction(int(c.p), int(c.q)) for c in want]
+    det = sp.Matrix(a).det()
+    assert is_rational(exact_det(rows)) == Fraction(int(det.p), int(det.q))
 
 
 def test_exact_det_matches_numeric():

@@ -1,6 +1,7 @@
 """Path-vector worksheets, the determinant invariants, and squarefree
 reduction of the invariant trace field."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from tilinglinks.coxeter import (build_hyperbolic_presentation, exact_det)
 from tilinglinks.errors import DomainError
 from tilinglinks.fields import AlgebraicNumber, is_rational, make_context
 from tilinglinks.tracefields import (build_worksheet, field_label,
-                                     gprime_determinant,
                                      invariant_trace_field, squarefree_part,
                                      trace_field_json_dict)
 
@@ -25,7 +25,7 @@ def test_worksheet_64_reference_values():
     for i in range(4):
         for j in range(4):
             assert is_rational(w.gprime[i][j]) == expected[i][j]
-    assert is_rational(gprime_determinant(w)) == -3456
+    assert is_rational(w.det) == -3456
 
 
 def test_worksheet_66():
@@ -91,6 +91,35 @@ def test_path_choice_invariance():
         import math
         s = math.isqrt(num_den)
         assert s * s == num_den
+
+
+# the two spanning trees of the six-face diagram (1-based paths from F1)
+VIA_F2 = ((1,), (1, 2), (1, 3), (1, 2, 4), (1, 2, 4, 6, 5), (1, 2, 4, 6))
+VIA_F3 = ((1,), (1, 2), (1, 3), (1, 3, 5, 6, 4), (1, 3, 5), (1, 3, 5, 6))
+
+
+@pytest.mark.parametrize("m,n", [(6, 4), (6, 6)])
+def test_tree_paths_pinned(m, n):
+    # seeded paths captured from the separate randomized-DFS builder that
+    # the one spanning-tree builder replaced
+    p = build_hyperbolic_presentation(m, n)
+    assert build_worksheet(p).paths == (
+        (1,), (1, 2), (1, 3), (1, 2, 4), (1, 3, 5), (1, 2, 4, 6))
+    for seed in range(12):
+        want = VIA_F3 if seed in (0, 5, 7, 9, 11) else VIA_F2
+        assert build_worksheet(p, "random", seed).paths == want, seed
+
+
+def test_disconnected_diagram_rejected():
+    p = build_hyperbolic_presentation(6, 4)
+    zero = AlgebraicNumber.rational(p.ctx, 0)
+    gram = [list(r) for r in p.gram]
+    for i in range(5):  # cut face 6 off
+        gram[i][5] = gram[5][i] = zero
+    cut = dataclasses.replace(p, gram=tuple(tuple(r) for r in gram))
+    for strategy in ("bfs", "random"):
+        with pytest.raises(DomainError, match="disconnected"):
+            build_worksheet(cut, strategy)
 
 
 def test_random_paths_actually_vary():
