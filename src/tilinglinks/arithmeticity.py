@@ -9,7 +9,9 @@ Cyclic products are checked first: whenever one is irrational the certificate
 fails on a cheap witness (for a pattern with m or n outside {3,4,6} this is
 always a 2-cycle, matching the rational-cosine filter), and the per-entry
 minimal polynomials are only computed for certificates whose rationality
-condition holds -- those live in tiny fields.
+condition holds -- those live in tiny fields.  The cyclic products of a
+hyperbolic presentation are taken on its certified K0-congruent Gram matrix
+(`coxeter.enumerate_cyclic_products`), so none is formed in K0(sqrt(D)).
 """
 
 from __future__ import annotations

@@ -102,17 +102,24 @@ def _gram_from_edges(ctx, size, edges):
 
 
 @lru_cache(maxsize=None)
-def _hyperbolic_cosh_data(m, n):
-    """D = cos^2(pi/m) + cos^2(pi/n) - 1, its positive root sqrt(D), and the
-    pair (cosh l_46, cosh l_56) = (cos(pi/m), cos(pi/n)) / sqrt(D)."""
+def _discriminant(m, n):
+    """(ctx, cos(pi/m), cos(pi/n), D, D^-1) with
+    D = cos^2(pi/m) + cos^2(pi/n) - 1 > 0."""
     ctx = make_context(lcm(m, n))
     cm = embed_cos(ctx, m) / 2
     cn = embed_cos(ctx, n) / 2
     D = cm * cm + cn * cn - 1
     if D.sign() <= 0:
         raise GeometryError(f"({m},{n}) is not hyperbolic: discriminant <= 0")
+    return ctx, cm, cn, D, D.inverse()
+
+
+@lru_cache(maxsize=None)
+def _hyperbolic_cosh_data(m, n):
+    """D = cos^2(pi/m) + cos^2(pi/n) - 1, its positive root sqrt(D), and the
+    pair (cosh l_46, cosh l_56) = (cos(pi/m), cos(pi/n)) / sqrt(D)."""
+    ctx, cm, cn, D, Dinv = _discriminant(m, n)
     root = adjoin_sqrt(ctx, D)
-    Dinv = D.inverse()
     return ctx, cm, cn, D, root, cm * root * Dinv, cn * root * Dinv
 
 
@@ -353,14 +360,30 @@ def diagram_adjacency(p: CoxeterPresentation) -> list[list[bool]]:
 
 def enumerate_cyclic_products(p: CoxeterPresentation):
     """All cyclic products b_I over simple cycles of the diagram, including
-    every 2-cycle a_ij * a_ji; deterministic order (by length, then faces)."""
+    every 2-cycle a_ij * a_ji; deterministic order (by length, then faces).
+
+    For a hyperbolic presentation the products run on the certified
+    K0-congruent Gram matrix S*G*S of `_k0_congruent_gram`.  A cycle visits
+    each of its faces through two entries, so a cycle through face 6 picks
+    up sqrt(D) twice: its product on S*G*S is D times the one on G, and is
+    multiplied once by D^-1.  No factor carries sqrt(D).
+    """
     s = p.size
     adj = diagram_adjacency(p)
+    if p.family == "hyperbolic":
+        g = _k0_congruent_gram(p)
+        Dinv = _discriminant(p.m, p.n)[4]
+    else:
+        g, Dinv = p.gram, None
+
+    def unscaled(faces, val):
+        return faces, (val * Dinv if Dinv is not None and 6 in faces else val)
+
     out = []
     for i in range(s):
         for j in range(i + 1, s):
             if adj[i][j]:
-                out.append(((i + 1, j + 1), p.gram[i][j] * p.gram[j][i]))
+                out.append(unscaled((i + 1, j + 1), g[i][j] * g[j][i]))
 
     # simple cycles of length >= 3, canonical: starts at its minimum vertex,
     # second vertex smaller than last (kills reflections)
@@ -371,10 +394,10 @@ def enumerate_cyclic_products(p: CoxeterPresentation):
                 continue
             if len(path) >= 2 and adj[nxt][path[0]] and path[1] < nxt:
                 cycle = path + [nxt]
-                val = p.gram[cycle[-1]][cycle[0]]
+                val = g[cycle[-1]][cycle[0]]
                 for a, b in zip(cycle, cycle[1:]):
-                    val = val * p.gram[a][b]
-                cycles.append((tuple(c + 1 for c in cycle), val))
+                    val = val * g[a][b]
+                cycles.append(unscaled(tuple(c + 1 for c in cycle), val))
             extend(path + [nxt], visited | {nxt})
 
     cycles = []

@@ -61,7 +61,7 @@ class FieldContext:
 
     @property
     def real_embedding(self) -> float:
-        return float(_generator_values(self.L, 64)[0])
+        return float(_principal_value(self.L, 64))
 
     def __repr__(self):
         return f"FieldContext(L={self.L}, degree={self.degree})"
@@ -86,9 +86,18 @@ def make_context(L: int) -> FieldContext:
 
 
 @lru_cache(maxsize=None)
+def _principal_value(L, prec):
+    """The generator 2cos(pi/L) under the principal embedding; the same
+    value as `_generator_values(L, prec)[0]`, bit for bit."""
+    with mpmath.workprec(prec + 20):
+        return 2 * mpmath.cos(mpmath.pi * 1 / L)
+
+
+@lru_cache(maxsize=None)
 def _generator_values(L, prec):
     """Real embeddings of the generator: 2cos(k*pi/L) over k coprime to 2L,
-    principal embedding (k=1) first."""
+    principal embedding (k=1) first.  Only the square detection needs the
+    conjugates; `approx` and `sign` use `_principal_value`."""
     ctx = make_context(L)
     with mpmath.workprec(prec + 20):
         vals = tuple(2 * mpmath.cos(mpmath.pi * k / L)
@@ -149,16 +158,14 @@ def _vadd(a, da, b, db):
 
 def _vmul(a, da, b, db, ctx):
     out = [0] * (2 * len(a) - 1 if a else 1)
+    # field elements are often sparse on the power basis (Chebyshev values,
+    # small-degree combinations), so loop over b's nonzero terms only
+    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
+            for j, bj in b_terms:
+                out[i + j] += ai * bj
     return _normalize(_reduce_mod(out, ctx.modulus), da * db)
-
-
-def _vscale(a, da, p, q):
-    return _normalize(tuple(x * p for x in a), da * q)
 
 
 @dataclass(frozen=True)
@@ -344,15 +351,16 @@ class AlgebraicNumber:
 
     # -- numeric embedding -------------------------------------------------
 
-    def _eval_certified(self, index, prec):
-        """(value, error bound) at the given working precision."""
-        gvals = _generator_values(self.ctx.L, prec)
+    def _eval_certified(self, prec):
+        """(value, error bound) under the principal embedding at the given
+        working precision."""
+        gval = _principal_value(self.ctx.L, prec)
         with mpmath.workprec(prec):
             eps = mpmath.mpf(2) ** (-prec + 8)
-            v, mag = _eval_vec_bounded(self.num, self.den, gvals[index])
+            v, mag = _eval_vec_bounded(self.num, self.den, gval)
             err = (mag + 1) * eps * (len(self.num) + 2)
             if self.ext_num is not None:
-                rv, rerr = self.radicand._eval_certified(index, prec)
+                rv, rerr = self.radicand._eval_certified(prec)
                 if rv <= 2 * rerr:
                     if rv < -2 * rerr:
                         raise VerificationError(
@@ -360,8 +368,7 @@ class AlgebraicNumber:
                     return v, mpmath.inf  # cannot certify, force escalation
                 root = mpmath.sqrt(rv)
                 root_err = rerr / (2 * root) + root * eps
-                ev, emag = _eval_vec_bounded(self.ext_num, self.ext_den,
-                                             gvals[index])
+                ev, emag = _eval_vec_bounded(self.ext_num, self.ext_den, gval)
                 eerr = (emag + 1) * eps * (len(self.ext_num) + 2)
                 v += ev * root
                 err += abs(ev) * root_err + eerr * (root + root_err) + abs(v) * eps
@@ -374,7 +381,7 @@ class AlgebraicNumber:
             return 0.0
         prec = _DEFAULT_PREC
         while True:
-            v, err = self._eval_certified(0, prec)
+            v, err = self._eval_certified(prec)
             with mpmath.workprec(prec):
                 if mpmath.isfinite(err) and err < abs(v) * mpmath.mpf(2) ** -60:
                     return float(v)
@@ -389,7 +396,7 @@ class AlgebraicNumber:
             return 0
         prec = _DEFAULT_PREC
         while True:
-            v, err = self._eval_certified(0, prec)
+            v, err = self._eval_certified(prec)
             with mpmath.workprec(prec):
                 if mpmath.isfinite(err) and abs(v) > 2 * err:
                     return 1 if v > 0 else -1

@@ -1,6 +1,8 @@
 """Certificates for the two-condition arithmeticity criterion, the
 rational-cosine filter, and the verdict sweep."""
 
+import dataclasses
+
 import pytest
 
 from tilinglinks.arithmeticity import (CycleWitness, arithmetic_sweep,
@@ -9,7 +11,8 @@ from tilinglinks.arithmeticity import (CycleWitness, arithmetic_sweep,
                                        niven_filter, recheck_failing_item)
 from tilinglinks.coxeter import (build_hyperbolic_presentation,
                                  build_spherical_presentation)
-from tilinglinks.errors import DomainError
+from tilinglinks.errors import DomainError, VerificationError
+from tilinglinks.tracefields import invariant_trace_field
 
 
 def test_64_certificate():
@@ -122,3 +125,16 @@ def test_certificate_json_shape():
     assert {"faces", "value", "rational"} <= set(d["cycles"][0])
     six = [c for c in d["cycles"] if len(c["faces"]) == 6][0]
     assert six["rational"] == "96/1"
+
+
+def test_swapped_face_6_entries_rejected():
+    # (4,6) carrying the (5,6) value: the cyclic products come from the
+    # certified K0-congruent Gram, so neither consumer may report them
+    p = build_hyperbolic_presentation(7, 4)
+    gram = [list(r) for r in p.gram]
+    gram[3][5] = gram[5][3] = gram[4][5]
+    swapped = dataclasses.replace(p, gram=tuple(tuple(r) for r in gram))
+    with pytest.raises(VerificationError):
+        check_arithmetic(swapped)
+    with pytest.raises(VerificationError):
+        invariant_trace_field(swapped)

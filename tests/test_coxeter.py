@@ -223,6 +223,8 @@ def test_k0_certification_rejects_wrong_scaled_entry(monkeypatch):
     swapped = dataclasses.replace(p, gram=tuple(tuple(r) for r in gram))
     with pytest.raises(VerificationError):
         rank_and_signature(swapped)
+    with pytest.raises(VerificationError):
+        enumerate_cyclic_products(swapped)
 
     ctx, cm, cn, D, root, c_mn, c_nm = coxeter._hyperbolic_cosh_data(7, 4)
     wrong = cm + AlgebraicNumber.rational(ctx, Fraction(1, 10**6))
@@ -406,6 +408,48 @@ def test_cyclic_products_spherical_53():
     assert is_rational(b) is None
     assert abs(b.approx() - 4 * (0.25 * (1 + 5**0.5))**2) < 1e-12  # 4cos^2(pi/5)
     assert all(len(faces) == 2 for faces in prods)  # the diagram is a path
+
+
+def path_product_reference(p):
+    """Reference: every cyclic product multiplied out on the Gram matrix as
+    given (the sqrt(D) entries of face 6 included), 2-cycles first, then
+    simple cycles by length and faces."""
+    s = p.size
+    adj = [[not p.gram[i][j].is_zero and i != j for j in range(s)]
+           for i in range(s)]
+    out = [((i + 1, j + 1), p.gram[i][j] * p.gram[j][i])
+           for i in range(s) for j in range(i + 1, s) if adj[i][j]]
+    cycles = []
+
+    def extend(path, visited):
+        last = path[-1]
+        for nxt in range(path[0] + 1, s):
+            if nxt in visited or not adj[last][nxt]:
+                continue
+            if len(path) >= 2 and adj[nxt][path[0]] and path[1] < nxt:
+                cycle = path + [nxt]
+                val = p.gram[cycle[-1]][cycle[0]]
+                for a, b in zip(cycle, cycle[1:]):
+                    val = val * p.gram[a][b]
+                cycles.append((tuple(c + 1 for c in cycle), val))
+            extend(path + [nxt], visited | {nxt})
+
+    for start in range(s):
+        extend([start], {start})
+    cycles.sort(key=lambda t: (len(t[0]), t[0]))
+    return out + cycles
+
+
+def test_cyclic_products_match_path_product_reference():
+    # hyperbolic products run on the K0-congruent Gram, the reference on the
+    # sqrt(D) entries; spherical ones share the plain path
+    types = [build_hyperbolic_presentation(m, n)
+             for (m, n) in HYPERBOLIC_PAIRS_12 + [(22, 43)]]
+    types += [build_spherical_presentation(m, n)
+              for (m, n) in sorted(SPHERICAL_TYPES)]
+    for p in types:
+        assert enumerate_cyclic_products(p) == path_product_reference(p), \
+            (p.m, p.n)
 
 
 @pytest.mark.parametrize("m,n", UNORDERED_12 + [(31, 11)])

@@ -8,6 +8,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from tilinglinks import fields
 from tilinglinks.errors import DomainError
 from tilinglinks.fields import (AlgebraicNumber, adjoin_sqrt, as_json_dict,
                                 embed_cos, from_json_dict,
@@ -55,6 +56,13 @@ def test_generator_embedding_is_root():
         assert abs(g - 2 * cos(pi / L)) < 1e-12
         val = sum(c * g**i for i, c in enumerate(ctx.modulus))
         assert abs(val) < 1e-9
+
+
+@pytest.mark.parametrize("L,prec", [(1, 64), (2, 160), (5, 64), (12, 320),
+                                    (91, 1280), (2068, 160), (2068, 640)])
+def test_principal_value_is_first_conjugate(L, prec):
+    assert fields._principal_value(L, prec) == \
+        fields._generator_values(L, prec)[0]
 
 
 @pytest.mark.parametrize("L", [60, 91, 1073])
