@@ -21,10 +21,6 @@ from .errors import DomainError, GeometryError, VerificationError
 from .fields import (AlgebraicNumber, FieldContext, adjoin_sqrt, embed_cos,
                      is_algebraic_integer, is_rational, make_context,
                      minimal_polynomial)
-from .lorentz import (CanonicalCheckReport, DrumGeometry, IdealCell,
-                      build_drum, build_platonic_cell, realize,
-                      tiling_angle_oracle, tiling_angles, verify_basins,
-                      verify_gluing_angles)
 from .tracefields import (TraceFieldResult, build_worksheet,
                           invariant_trace_field)
 
@@ -44,3 +40,17 @@ __all__ = [
     "solve_ultraparallel_by_minor", "tiling_angle_oracle", "tiling_angles",
     "trace_field_table", "verify_basins", "verify_gluing_angles",
 ]
+
+# the float geometry, and with it numpy, loads on first use of one of these
+_LORENTZ_NAMES = frozenset({
+    "CanonicalCheckReport", "DrumGeometry", "IdealCell", "build_drum",
+    "build_platonic_cell", "realize", "tiling_angle_oracle", "tiling_angles",
+    "verify_basins", "verify_gluing_angles",
+})
+
+
+def __getattr__(name):
+    if name in _LORENTZ_NAMES:
+        from . import lorentz
+        return getattr(lorentz, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,8 +19,6 @@ import os
 import sys
 from math import pi
 
-import numpy as np
-
 from . import __version__
 from .arithmeticity import (arithmetic_sweep, certificate_json_dict,
                             check_arithmetic)
@@ -31,9 +29,6 @@ from .coxeter import (build_presentation, build_hyperbolic_presentation,
                       build_spherical_presentation,
                       presentation_json_dict, rank_and_signature)
 from .errors import DomainError, VerificationError
-from .lorentz import (build_drum, build_platonic_cell, drum_symmetries_ok,
-                      realize, realized_angles, tiling_angle_oracle,
-                      tiling_angles, verify_basins, verify_gluing_angles)
 from .tracefields import invariant_trace_field, trace_field_json_dict
 
 MAX_PARAM = 50  # guard against runaway field degrees
@@ -176,11 +171,15 @@ def cmd_commensurable(args, out):
 def _basin_check(ideal_cell, samples, seed, **labels):
     """One basin-sampler report as a JSON-ready dict, relabelled by `labels`
     and with its `pass` verdict."""
+    from .lorentz import verify_basins
     rep = verify_basins(ideal_cell, samples=samples, seed=seed)
     return rep.json_dict() | labels | {"pass": rep.passed}
 
 
 def _geometry_reports(m, n, samples, seed):
+    from .lorentz import (build_drum, drum_symmetries_ok, realize,
+                          realized_angles, tiling_angle_oracle, tiling_angles,
+                          verify_gluing_angles)
     reports = []
     p = build_presentation(m, n)
     r = realize(p)
@@ -222,6 +221,7 @@ def cmd_geometry_verify(args, out):
     _check_sampling(args.samples, args.seed)
     reports = []
     if args.cell:
+        from .lorentz import build_platonic_cell
         for kind in args.cell:
             reports.append(_basin_check(build_platonic_cell(kind),
                                         args.samples, args.seed,
@@ -268,6 +268,7 @@ def cmd_report(args, out):
     sweep = arithmetic_sweep(args.bound, args.bound) if args.bound >= 3 else []
     geometry = []
     if args.with_geometry:
+        from .lorentz import build_drum, build_platonic_cell
         for kind in ("tetrahedron", "octahedron"):
             geometry.append(_basin_check(build_platonic_cell(kind),
                                          args.samples, args.seed))
@@ -302,6 +303,15 @@ def cmd_report(args, out):
                       f"samples={g['samples']} "
                       f"{'PASS' if g['pass'] else 'FAIL'}\n")
     return 0 if ok else 3
+
+
+def _internal_errors():
+    """Stray errors that exit 3: arithmetic errors, and numpy's LinAlgError
+    once the float geometry has loaded numpy (none can be raised before)."""
+    np = sys.modules.get("numpy")
+    if np is None:
+        return ArithmeticError
+    return ArithmeticError, np.linalg.LinAlgError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,7 +416,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"error: verification: {exc}", file=sys.stderr)
         return 3
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except _internal_errors() as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Optional, Sequence, Union
 
-import numpy as np
+import mpmath
 
 from .errors import DomainError, GeometryError, VerificationError
 from .fields import (AlgebraicNumber, FieldContext, adjoin_sqrt, as_json_dict,
@@ -82,7 +82,8 @@ class CoxeterPresentation:
     def size(self) -> int:
         return len(self.faces)
 
-    def gram_float(self) -> np.ndarray:
+    def gram_float(self) -> "numpy.ndarray":
+        import numpy as np  # float geometry only: keeps numpy off exact paths
         return np.array([[e.approx() for e in row] for row in self.gram])
 
 
@@ -306,7 +307,9 @@ def rank_and_signature(p: GramLike) -> tuple[int, int, int]:
     For a hyperbolic presentation the exact part runs on the K0-congruent
     Gram matrix of `_k0_congruent_gram`; raw rows and spherical
     presentations are used as given.  The numeric cross-check always uses
-    the original Gram matrix.
+    the original Gram matrix: its float eigenvalues, from `mpmath.eigsy` at
+    53 bits, are counted against the thresholds +-1e-9, and a disagreement
+    with the exact counts raises `VerificationError`.
     """
     rows = p.gram if isinstance(p, CoxeterPresentation) else p
     exact_rows = (_k0_congruent_gram(p)
@@ -327,10 +330,15 @@ def rank_and_signature(p: GramLike) -> tuple[int, int, int]:
     if pos + neg != rank:
         raise VerificationError("Descartes counts inconsistent with exact rank")
 
-    fl = np.array([[e.approx() for e in row] for row in rows])
-    ev = np.linalg.eigvalsh(fl)
-    num = (int((ev > 1e-9).sum()), int((ev < -1e-9).sum()),
-           int((np.abs(ev) <= 1e-9).sum()))
+    fl = mpmath.matrix([[e.approx() for e in row] for row in rows])
+    try:
+        with mpmath.workprec(53):
+            ev = mpmath.eigsy(fl, eigvals_only=True)
+    except RuntimeError as exc:  # the QL iteration did not converge
+        raise VerificationError(
+            f"numeric eigenvalue cross-check failed: {exc}") from exc
+    num = (sum(1 for v in ev if v > 1e-9), sum(1 for v in ev if v < -1e-9),
+           sum(1 for v in ev if abs(v) <= 1e-9))
     if num != (pos, neg, s - rank):
         raise VerificationError(
             f"exact signature ({pos},{neg},{s - rank}) disagrees with "
@@ -410,15 +418,26 @@ def enumerate_cyclic_products(p: CoxeterPresentation):
 # -- serialization -----------------------------------------------------------
 
 def presentation_json_dict(p: CoxeterPresentation) -> dict:
+    # entries (i,j) and (j,i) are one object, and each as_json_dict runs a
+    # certified approx: serialize every distinct object once (by identity,
+    # while p keeps them alive) and share the resulting dict
+    memo = {}
+
+    def ser(x):
+        d = memo.get(id(x))
+        if d is None:
+            d = memo[id(x)] = as_json_dict(x)
+        return d
+
     def edge_dict(e):
         d = {"i": e.i, "j": e.j, "kind": e.kind}
         if e.order is not None:
             d["order"] = e.order
         if e.cosh_dist is not None:
-            d["cosh_dist"] = as_json_dict(e.cosh_dist)
+            d["cosh_dist"] = ser(e.cosh_dist)
         return d
 
-    gram = [[as_json_dict(e) for e in row] for row in p.gram]
+    gram = [[ser(e) for e in row] for row in p.gram]
     return {
         "m": p.m,
         "n": p.n,

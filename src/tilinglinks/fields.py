@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from typing import Optional
 
@@ -55,6 +55,12 @@ class FieldContext:
     L: int
     modulus: tuple[int, ...]
     degree: int
+
+    @cached_property
+    def _modulus_terms(self) -> tuple[tuple[int, int], ...]:
+        """(j, c_j) for the nonzero coefficients of `modulus` below its
+        leading 1: the folded modulus of an even L is about half zeros."""
+        return tuple((j, c) for j, c in enumerate(self.modulus[:-1]) if c)
 
     def conjugate_indices(self):
         return tuple(k for k in range(1, self.L + 1) if gcd(k, 2 * self.L) == 1)
@@ -135,8 +141,9 @@ def _normalize(num, den):
     return num, den
 
 
-def _reduce_mod(vec, modulus):
-    d = len(modulus) - 1
+def _reduce_mod(vec, ctx):
+    d = ctx.degree
+    terms = ctx._modulus_terms
     vec = list(vec)
     if len(vec) < d:
         vec += [0] * (d - len(vec))
@@ -145,8 +152,8 @@ def _reduce_mod(vec, modulus):
         if c:
             vec[i] = 0
             base = i - d
-            for j in range(d):
-                vec[base + j] -= c * modulus[j]
+            for j, mj in terms:
+                vec[base + j] -= c * mj
     return tuple(vec[:d])
 
 
@@ -165,7 +172,7 @@ def _vmul(a, da, b, db, ctx):
         if ai:
             for j, bj in b_terms:
                 out[i + j] += ai * bj
-    return _normalize(_reduce_mod(out, ctx.modulus), da * db)
+    return _normalize(_reduce_mod(out, ctx), da * db)
 
 
 @dataclass(frozen=True)

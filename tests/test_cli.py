@@ -7,7 +7,8 @@ import json
 
 import pytest
 
-from tilinglinks import cli
+import tilinglinks
+from tilinglinks import cli, lorentz
 from tilinglinks.cli import main
 
 
@@ -155,7 +156,7 @@ def test_geometry_verify_requires_target():
 @pytest.mark.parametrize("half", [["--m", "6"], ["--n", "6"]])
 def test_geometry_verify_half_drum_pair_exit_2(half, monkeypatch, capsys):
     # refused before any work: no basin check of the --cell runs either
-    monkeypatch.setattr(cli, "verify_basins", None)
+    monkeypatch.setattr(lorentz, "verify_basins", None)
     code, out = run_cli("geometry-verify", "--cell", "tetrahedron", *half,
                         "--samples", "10")
     assert code == 2 and out == ""
@@ -183,14 +184,14 @@ def test_negative_seed_exit_2():
 
 
 def test_basin_check_without_evidence_fails(monkeypatch):
-    real = cli.verify_basins
+    real = lorentz.verify_basins
 
     def all_skipped(cell, samples, seed):
         rep = real(cell, samples=samples, seed=seed)
         return dataclasses.replace(rep, skipped=samples,
                                    skipped_near_wall=samples)
 
-    monkeypatch.setattr(cli, "verify_basins", all_skipped)
+    monkeypatch.setattr(lorentz, "verify_basins", all_skipped)
     code, out = run_cli("geometry-verify", "--cell", "octahedron",
                         "--samples", "50", "--format", "json")
     doc = json.loads(out)
@@ -237,6 +238,68 @@ def test_stray_arithmetic_error_exit_3(monkeypatch):
     monkeypatch.setattr(cli, "cmd_sweep", boom)
     code, _ = run_cli("sweep")
     assert code == 3
+
+
+def test_linalg_error_exit_3(monkeypatch, capsys):
+    import numpy as np
+
+    def singular(p):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(lorentz, "realize", singular)
+    code, out = run_cli("geometry-verify", "--m", "6", "--n", "4")
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err.startswith(
+        "error: internal: LinAlgError: Singular matrix")
+
+
+# commands without float geometry must not import numpy (its import is most
+# of the start-up time of a short command); geometry-verify must
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from tilinglinks import cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    loaded.append([code, "numpy" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_loaded_only_for_float_geometry():
+    import os
+    import subprocess
+    import sys
+    argvs = [["gram", "44", "47", "--format", "json"],
+             ["tracefield", "6", "4", "--format", "json"],
+             ["arithmetic", "22", "43", "--format", "json"],
+             ["classify", "37", "17", "--genus", "2"],
+             ["commensurable", "3", "3", "6", "6"],
+             ["gram", "4", "4"],
+             ["geometry-verify", "--cell", "tetrahedron", "--samples", "10"]]
+    src = os.path.dirname(os.path.dirname(tilinglinks.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("TILINGLINKS_FORMAT", None)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
+                           json.dumps(argvs)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, False]] * 5 + [[2, False],
+                                                         [0, True]]
+
+
+def test_package_exports_resolve():
+    for name in tilinglinks.__all__:
+        assert getattr(tilinglinks, name) is not None, name
+    assert tilinglinks.verify_basins is lorentz.verify_basins
+    namespace = {}
+    exec("from tilinglinks import *", namespace)
+    assert set(tilinglinks.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tilinglinks.no_such_name
+    with pytest.raises(ImportError):
+        exec("from tilinglinks import no_such_name", {})
 
 
 def test_out_file(tmp_path):
