@@ -106,9 +106,4 @@ def fold_palindromic(coeffs):
 
 
 def content(vec):
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g
+    return gcd(*vec)

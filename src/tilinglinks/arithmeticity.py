@@ -25,9 +25,8 @@ from .coxeter import (CoxeterPresentation, build_hyperbolic_presentation,
                       enumerate_cyclic_products, geometry_of,
                       validate_presentation)
 from .errors import DomainError, VerificationError
-from .fields import (AlgebraicNumber, as_json_dict, embed_cos,
-                     is_algebraic_integer, is_rational, make_context,
-                     minimal_polynomial)
+from .fields import (AlgebraicNumber, as_json_dict, embed_cos, is_rational,
+                     make_context, minimal_polynomial)
 
 RATIONAL_COSINE_ORDERS = frozenset({3, 4, 6})
 
@@ -85,16 +84,6 @@ def check_arithmetic(p: CoxeterPresentation) -> ArithmeticityCertificate:
     return ArithmeticityCertificate(
         p.m, p.n, p.family, failing is None,
         tuple(entries), tuple(cycles), failing)
-
-
-def recheck_failing_item(cert: ArithmeticityCertificate) -> bool:
-    """Re-derive the verdict of the failing witness from its stored value."""
-    item = cert.failing_item
-    if item is None:
-        return False
-    if isinstance(item, CycleWitness):
-        return is_rational(item.value) is None
-    return not is_algebraic_integer(item.value)
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,14 @@
 Elements are coordinate vectors on the power basis of the generator
 g = 2cos(pi/L), stored as integer vectors with a common denominator, plus an
 optional second vector carrying the coefficient of sqrt(D) for a single
-adjoined square root.  All ring operations are exact; floating point enters
-only through `approx`/`sign`, which evaluate the distinguished real embedding
-at high precision for sign decisions.
+adjoined square root.  All ring operations are exact.  Floating point enters
+only through `approx`/`sign`, which bound the value under the distinguished
+real embedding by a certified fixed-point enclosure: one integer dot product
+of the coefficients with a cached table of the generator's powers scaled by
+2^P, whose only inexact input is one `mpmath.cos`.  `sign` doubles P until
+the enclosure excludes 0; `approx` returns the double both ends of the
+(slightly widened) enclosure round to, and defers to the mpmath Horner ladder
+only when they round apart.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -13,6 +18,7 @@ function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -24,7 +30,11 @@ import mpmath
 from ._polys import content, cyclotomic, fold_palindromic, mul, trim
 from .errors import DomainError, VerificationError
 
-_DEFAULT_PREC = 160
+_FIXED_PREC = 128  # first P of the fixed-point enclosure
+_LADDER_PREC = 160  # first working precision of the mpmath ladder
+_MAX_PREC = 1 << 22
+_APPROX_REL_BITS = 59  # the ladder's stop |v - x| < |v| 2^-60, widened
+_MIN_NORMAL = 2.0 ** -1022
 _SQUARE_DETECT_MAX_DEGREE = 8
 _SQUARE_DETECT_MAX_DEN = 10**6
 
@@ -109,6 +119,132 @@ def _generator_values(L, prec):
         vals = tuple(2 * mpmath.cos(mpmath.pi * k / L)
                      for k in ctx.conjugate_indices())
     return vals
+
+
+@lru_cache(maxsize=32)
+def _power_table(L, P):
+    """Integers T_i with |T_i - g^i 2^P| <= 1 for i < degree, g = 2cos(pi/L).
+
+    The powers are floor-products X_(i+1) = floor(X_i G / 2^Q) of one
+    G = floor(g 2^Q), Q = P + guard bits.  |G - g 2^Q| <= 1 (up to the
+    2^-16 error of `_principal_value`) and G < 2^(Q+1), so each product at
+    most doubles the error of X_i and adds g^i + 1 to it: X_i is within
+    (i + 2) 2^(i-1) < 2^(degree + bitlen(degree) - 1) of g^i 2^Q.  The
+    guard bits degree + bitlen(degree) + 8 shrink that below 2^-9 before
+    T_i is rounded to nearest."""
+    d = make_context(L).degree
+    shift = d + d.bit_length() + 8
+    q = P + shift
+    man, exp = _principal_value(L, q).man_exp
+    G = man << (exp + q) if exp + q >= 0 else man >> -(exp + q)
+    half = 1 << (shift - 1)
+    x = 1 << q
+    table = []
+    for _ in range(d):
+        table.append((x + half) >> shift)
+        x = x * G >> q
+    return tuple(table)
+
+
+def _base_enclosure(num, L, P):
+    """(S, E) with |sum c_i g^i - S / 2^P| <= E / 2^P: S is an exact dot
+    product with the power table, so sum |c_i| bounds its error; the + 1
+    is slack."""
+    S = sum(map(operator.mul, num, _power_table(L, P)))
+    return S, sum(map(abs, num)) + 1
+
+
+def _enclosure(x, P):
+    """(lo, hi, D) with lo/D <= x <= hi/D under the principal embedding, or
+    None when the radicand's enclosure does not exclude 0 at this P."""
+    L = x.ctx.L
+    S, E = _base_enclosure(x.num, L, P)
+    if x.ext_num is None:
+        return S - E, S + E, x.den << P
+    rad = x.radicand
+    rs, re = _base_enclosure(rad.num, L, P)
+    if rs + re < 0:
+        raise VerificationError("radicand negative in this embedding")
+    if rs - re <= 0:
+        return None
+    # sqrt(rad) 2^P = sqrt(rad 2^(2P)) between isqrt of the floor of the
+    # lower end and the ceiling of the root of the upper end
+    r_lo = ((rs - re) << P) // rad.den
+    r_hi = -((-(rs + re) << P) // rad.den)
+    s_lo, s_hi = isqrt(r_lo), isqrt(r_hi - 1) + 1
+    bs, be = _base_enclosure(x.ext_num, L, P)
+    ends = ((bs - be) * s_lo, (bs - be) * s_hi,
+            (bs + be) * s_lo, (bs + be) * s_hi)
+    # common denominator den * ext_den * 2^(2P)
+    a_scale, b_scale = x.ext_den << P, x.den
+    return ((S - E) * a_scale + min(ends) * b_scale,
+            (S + E) * a_scale + max(ends) * b_scale,
+            (x.den * x.ext_den) << (2 * P))
+
+
+def _fixed_approx(x):
+    """The double `_ladder_approx(x)` returns, when the enclosure proves it.
+
+    The ladder stops at a v with |v - x| < |v| 2^-60, so v lies within
+    max(|lo|, |hi|) 2^-59 / D of [lo/D, hi/D]; when both ends of that
+    widened interval round to one double (int / int rounds correctly, as
+    the ladder's float(v) does), so does v.  P doubles while the enclosure
+    is wider than the widening; None when the rounding stays ambiguous."""
+    P = _FIXED_PREC
+    while P <= _MAX_PREC:
+        enc = _enclosure(x, P)
+        if enc is not None:
+            lo, hi, D = enc
+            w = -(-max(abs(lo), abs(hi)) >> _APPROX_REL_BITS)
+            try:
+                f_lo, f_hi = (lo - w) / D, (hi + w) / D
+            except OverflowError:
+                return None
+            if f_lo == f_hi and abs(f_lo) >= _MIN_NORMAL:
+                return f_lo
+            if hi - lo <= w:
+                return None
+        P *= 2
+    return None
+
+
+def _ladder_approx(x):
+    """The mpmath Horner ladder: evaluate at 160, 320, ... bits until the
+    certified error is below |v| 2^-60, then float(v).  It defines the
+    printed double where the fixed-point enclosure cannot decide it."""
+    prec = _LADDER_PREC
+    while True:
+        v, err = _eval_certified(x, prec)
+        with mpmath.workprec(prec):
+            if mpmath.isfinite(err) and err < abs(v) * mpmath.mpf(2) ** -60:
+                return float(v)
+        prec *= 2
+        if prec > _MAX_PREC:
+            raise VerificationError("embedding did not stabilize")
+
+
+def _eval_certified(x, prec):
+    """(value, error bound) of x under the principal embedding at the given
+    working precision."""
+    gval = _principal_value(x.ctx.L, prec)
+    with mpmath.workprec(prec):
+        eps = mpmath.mpf(2) ** (-prec + 8)
+        v, mag = _eval_vec_bounded(x.num, x.den, gval)
+        err = (mag + 1) * eps * (len(x.num) + 2)
+        if x.ext_num is not None:
+            rv, rerr = _eval_certified(x.radicand, prec)
+            if rv <= 2 * rerr:
+                if rv < -2 * rerr:
+                    raise VerificationError(
+                        "radicand negative in this embedding")
+                return v, mpmath.inf  # cannot certify, force escalation
+            root = mpmath.sqrt(rv)
+            root_err = rerr / (2 * root) + root * eps
+            ev, emag = _eval_vec_bounded(x.ext_num, x.ext_den, gval)
+            eerr = (emag + 1) * eps * (len(x.ext_num) + 2)
+            v += ev * root
+            err += abs(ev) * root_err + eerr * (root + root_err) + abs(v) * eps
+        return v, err
 
 
 def _eval_vec_bounded(num, den, gval):
@@ -358,59 +494,32 @@ class AlgebraicNumber:
 
     # -- numeric embedding -------------------------------------------------
 
-    def _eval_certified(self, prec):
-        """(value, error bound) under the principal embedding at the given
-        working precision."""
-        gval = _principal_value(self.ctx.L, prec)
-        with mpmath.workprec(prec):
-            eps = mpmath.mpf(2) ** (-prec + 8)
-            v, mag = _eval_vec_bounded(self.num, self.den, gval)
-            err = (mag + 1) * eps * (len(self.num) + 2)
-            if self.ext_num is not None:
-                rv, rerr = self.radicand._eval_certified(prec)
-                if rv <= 2 * rerr:
-                    if rv < -2 * rerr:
-                        raise VerificationError(
-                            "radicand negative in this embedding")
-                    return v, mpmath.inf  # cannot certify, force escalation
-                root = mpmath.sqrt(rv)
-                root_err = rerr / (2 * root) + root * eps
-                ev, emag = _eval_vec_bounded(self.ext_num, self.ext_den, gval)
-                eerr = (emag + 1) * eps * (len(self.ext_num) + 2)
-                v += ev * root
-                err += abs(ev) * root_err + eerr * (root + root_err) + abs(v) * eps
-            return v, err
-
     def approx(self) -> float:
         """Principal real embedding as a float, certified to full double
-        precision (the working precision escalates past any cancellation)."""
+        precision: the fixed-point enclosure where it decides the rounding,
+        else the mpmath ladder (whose working precision escalates past any
+        cancellation)."""
         if self.is_zero:
             return 0.0
-        prec = _DEFAULT_PREC
-        while True:
-            v, err = self._eval_certified(prec)
-            with mpmath.workprec(prec):
-                if mpmath.isfinite(err) and err < abs(v) * mpmath.mpf(2) ** -60:
-                    return float(v)
-            prec *= 2
-            if prec > 1 << 22:
-                raise VerificationError("embedding did not stabilize")
+        f = _fixed_approx(self)
+        return _ladder_approx(self) if f is None else f
 
     def sign(self) -> int:
-        """Exact sign under the principal real embedding (certified: the
-        evaluation error bound must separate the value from zero)."""
+        """Exact sign under the principal real embedding (certified: P
+        doubles until the fixed-point enclosure excludes zero)."""
         if self.is_zero:
             return 0
-        prec = _DEFAULT_PREC
-        while True:
-            v, err = self._eval_certified(prec)
-            with mpmath.workprec(prec):
-                if mpmath.isfinite(err) and abs(v) > 2 * err:
-                    return 1 if v > 0 else -1
-            prec *= 2
-            if prec > 1 << 22:
-                raise VerificationError(
-                    "cannot certify sign; value too close to zero")
+        P = _FIXED_PREC
+        while P <= _MAX_PREC:
+            enc = _enclosure(self, P)
+            if enc is not None:
+                lo, hi, _ = enc
+                if lo > 0:
+                    return 1
+                if hi < 0:
+                    return -1
+            P *= 2
+        raise VerificationError("cannot certify sign; value too close to zero")
 
     def __float__(self):
         return self.approx()

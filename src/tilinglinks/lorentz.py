@@ -272,34 +272,6 @@ def realized_angles(r: PolyhedronRealization):
     return out
 
 
-def random_lorentz_transform(seed: int) -> np.ndarray:
-    """Random orthochronous Lorentz matrix by Gram-Schmidt for the form."""
-    rng = np.random.default_rng(seed)
-    while True:
-        B = rng.normal(size=(4, 4))
-        cols = []
-        t = B[:, 0]
-        if mdot(t, t) >= -1e-6:
-            continue
-        t = t / sqrt(-mdot(t, t))
-        if t[3] < 0:
-            t = -t
-        cols.append(t)
-        ok = True
-        for k in range(1, 4):
-            v = B[:, k]
-            v = v + mdot(v, cols[0]) * cols[0]  # timelike: add projection
-            for u in cols[1:]:
-                v = v - mdot(v, u) * u
-            qq = mdot(v, v)
-            if qq <= 1e-9:
-                ok = False
-                break
-            cols.append(v / sqrt(qq))
-        if ok:
-            return np.column_stack([cols[1], cols[2], cols[3], cols[0]])
-
-
 # -- ideal cells: drums and Platonic solids ---------------------------------
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from tilinglinks import fields
-from tilinglinks.errors import DomainError
+from tilinglinks.errors import DomainError, VerificationError
 from tilinglinks.fields import (AlgebraicNumber, adjoin_sqrt, as_json_dict,
                                 embed_cos, from_json_dict,
                                 is_algebraic_integer, is_rational,
@@ -378,6 +378,165 @@ def test_large_field_embedding_certified():
     D = cos(pi / 23)**2 + cos(pi / 24)**2 - 1
     assert abs(p.gram[3][5].approx() + 2 * cos(pi / 23) / sqrt(D)) < 1e-12
     assert p.gram[3][5].sign() == -1
+
+
+# -- fixed-point enclosure ------------------------------------------------------
+
+def _ladder_sign(x):
+    """The mpmath Horner ladder's sign: the certified error must be below
+    half the value."""
+    import mpmath
+    prec = 160
+    while True:
+        v, err = fields._eval_certified(x, prec)
+        with mpmath.workprec(prec):
+            if mpmath.isfinite(err) and abs(v) > 2 * err:
+                return 1 if v > 0 else -1
+        prec *= 2
+        assert prec <= 1 << 16
+
+
+def _power_table_errors(L, P):
+    """T_i - g^i 2^P for the table at (L, P), against powers of g taken in
+    mpmath at P + 3 degree bits (g^i < 2^degree, so the reference is exact
+    to far below one unit)."""
+    import mpmath
+    d = make_context(L).degree
+    table = fields._power_table(L, P)
+    assert len(table) == d
+    with mpmath.workprec(P + 3 * d):
+        g = 2 * mpmath.cos(mpmath.pi / L)
+        power = mpmath.ldexp(mpmath.mpf(1), P)
+        errors = []
+        for t in table:
+            errors.append(mpmath.mpf(t) - power)
+            power *= g
+    return errors
+
+
+@pytest.mark.parametrize("L", [12, 946, 2068, 2303])
+def test_power_table_within_one(L):
+    for P in (128, 256):
+        assert max(abs(e) for e in _power_table_errors(L, P)) <= 1
+
+
+def test_enclosure_holds_against_worst_table_errors():
+    """An element whose coefficients line up with the table's largest
+    errors: its enclosure must still contain the value, so the error term
+    may not be smaller than sum |c_i|."""
+    import mpmath
+    L, P = 2068, 128
+    errors = _power_table_errors(L, P)
+    num = tuple((1 if e > 0 else -1) * 10**6 if abs(e) > 0.4 else 0
+                for e in errors)
+    assert sum(1 for c in num if c) > 100
+    x = AlgebraicNumber._make(make_context(L), num, 7)
+    lo, hi, D = fields._enclosure(x, P)
+    with mpmath.workprec(4 * 920 + P):
+        true = fields._eval_certified(x, 4 * 920 + P)[0]
+        assert mpmath.mpf(lo) / D <= true <= mpmath.mpf(hi) / D
+        # the table errors add up: the value sits in the outer half
+        mid, half = mpmath.mpf(lo + hi) / (2 * D), mpmath.mpf(hi - lo) / (2 * D)
+        assert abs(true - mid) > half / 4
+
+
+def _certified_elements(m, n):
+    """Gram entries, cosh distances, their radicands, cyclic products and
+    det G' of the type (m, n), each distinct object once."""
+    from tilinglinks.coxeter import build_presentation, enumerate_cyclic_products
+    from tilinglinks.tracefields import build_worksheet
+    p = build_presentation(m, n)
+    out = {id(e): e for row in p.gram for e in row}
+    for e in p.edges:
+        for x in (e.cosh_dist, e.cosh_dist and e.cosh_dist.radicand):
+            if x is not None:
+                out[id(x)] = x
+    for _, v in enumerate_cyclic_products(p):
+        out[id(v)] = v
+    det = build_worksheet(p).det
+    out[id(det)] = det
+    return [x for x in out.values() if not x.is_zero]
+
+
+def _hyperbolic_types_up_to(bound):
+    from tilinglinks.coxeter import geometry_of
+    return [(m, n) for m in range(3, bound + 1) for n in range(3, bound + 1)
+            if geometry_of(m, n) == "Hyperbolic"]
+
+
+@pytest.mark.parametrize("m,n", _hyperbolic_types_up_to(12) + [(44, 47), (46, 50)])
+def test_fixed_point_approx_and_sign_match_ladder(m, n):
+    for x in _certified_elements(m, n):
+        ref = fields._ladder_approx(x)
+        fast = fields._fixed_approx(x)
+        assert fast is None or fast == ref
+        assert x.approx() == ref
+        assert x.sign() == _ladder_sign(x)
+
+
+def test_ambiguous_rounding_takes_the_ladder():
+    """4cos^2(pi/46), the (1,2) cyclic product of (46,50) printed by
+    `tracefield 46 50`, lies 0.485 units in the last place above its double:
+    the widened enclosure straddles the rounding midpoint, so the ladder
+    decides the printed double."""
+    from tilinglinks.coxeter import build_presentation, enumerate_cyclic_products
+    x = dict(enumerate_cyclic_products(build_presentation(46, 50)))[(1, 2)]
+    assert x == embed_cos(x.ctx, 46) * embed_cos(x.ctx, 46)
+    assert fields._fixed_approx(x) is None
+    assert x.approx() == fields._ladder_approx(x) == 3.9813718920726613
+
+
+def test_sign_of_tiny_element_escalates():
+    """g - p/q for two successive continued-fraction convergents p/q of
+    g = 2cos(pi/7) past q = 2^80: the value is below 2^-140, so the 128-bit
+    enclosure contains 0 and the sign needs a larger P."""
+    import mpmath
+    ctx = make_context(7)
+    with mpmath.workprec(600):
+        gval = 2 * mpmath.cos(mpmath.pi / 7)
+        close = Fraction(int(mpmath.floor(mpmath.ldexp(gval, 400))), 1 << 400)
+    convs, (p0, q0), (p1, q1), rest = [], (0, 1), (1, 0), close
+    while len(convs) < 2:
+        a = rest.numerator // rest.denominator
+        (p0, q0), (p1, q1) = (p1, q1), (a * p1 + p0, a * q1 + q0)
+        if q1 > 1 << 80:
+            convs.append(Fraction(p1, q1))
+        rest = 1 / (rest - a)
+    signs = set()
+    for conv in convs:
+        y = AlgebraicNumber.generator(ctx) - conv
+        with mpmath.workprec(600):
+            true = gval - mpmath.mpf(conv.numerator) / conv.denominator
+            assert 0 < abs(true) < mpmath.mpf(2) ** -140
+        lo, hi, _ = fields._enclosure(y, 128)
+        assert lo <= 0 <= hi
+        assert y.sign() == _ladder_sign(y) == (1 if true > 0 else -1)
+        assert y.approx() == fields._ladder_approx(y) == float(true)
+        signs.add(y.sign())
+    assert signs == {-1, 1}
+
+
+@pytest.mark.parametrize("value", [Fraction(10**400, 3), Fraction(1, 10**320),
+                                   Fraction(-7, 10**400)])
+def test_approx_outside_the_normal_range_matches_ladder(value):
+    """Past the largest double and below the smallest normal one the
+    ladder's float(v) (inf, or 53 bits then a subnormal) is what prints."""
+    x = AlgebraicNumber.rational(make_context(12), value)
+    assert fields._fixed_approx(x) is None
+    assert x.approx() == fields._ladder_approx(x)
+
+
+def test_negative_radicand_raises():
+    ctx = make_context(12)
+    unit = (1,) + (0,) * (ctx.degree - 1)
+    zero = (0,) * ctx.degree
+    for rad in (AlgebraicNumber.rational(ctx, -2),
+                AlgebraicNumber.generator(ctx) - 5):
+        x = AlgebraicNumber._make(ctx, zero, 1, unit, 1, rad)
+        with pytest.raises(VerificationError, match="radicand negative"):
+            x.sign()
+        with pytest.raises(VerificationError, match="radicand negative"):
+            x.approx()
 
 
 def test_is_rational_examples():

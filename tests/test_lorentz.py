@@ -17,7 +17,7 @@ from tilinglinks.lorentz import (J, WALL_SKIP_TOL, CanonicalCheckReport,
                                  build_drum, build_platonic_cell,
                                  classify_point, drum_symmetries_ok,
                                  edge_midpoint, horoball_distance, mdot,
-                                 polygon_edge_and_angle, random_lorentz_transform,
+                                 polygon_edge_and_angle,
                                  realize, realized_angles, tiling_angle_oracle,
                                  tiling_angles, verify_basins,
                                  verify_gluing_angles)
@@ -166,6 +166,34 @@ def test_ideal_vertices_are_null():
 def test_realization_keeps_float_gram():
     p = build_hyperbolic_presentation(6, 4)
     assert np.array_equal(realize(p).gram, p.gram_float())
+
+
+def random_lorentz_transform(seed):
+    """Random orthochronous Lorentz matrix by Gram-Schmidt for the form."""
+    rng = np.random.default_rng(seed)
+    while True:
+        B = rng.normal(size=(4, 4))
+        cols = []
+        t = B[:, 0]
+        if mdot(t, t) >= -1e-6:
+            continue
+        t = t / sqrt(-mdot(t, t))
+        if t[3] < 0:
+            t = -t
+        cols.append(t)
+        ok = True
+        for k in range(1, 4):
+            v = B[:, k]
+            v = v + mdot(v, cols[0]) * cols[0]  # timelike: add projection
+            for u in cols[1:]:
+                v = v - mdot(v, u) * u
+            qq = mdot(v, v)
+            if qq <= 1e-9:
+                ok = False
+                break
+            cols.append(v / sqrt(qq))
+        if ok:
+            return np.column_stack([cols[1], cols[2], cols[3], cols[0]])
 
 
 def test_isometry_invariance():
