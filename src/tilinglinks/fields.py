@@ -7,10 +7,10 @@ adjoined square root.  All ring operations are exact.  Floating point enters
 only through `approx`/`sign`, which bound the value under the distinguished
 real embedding by a certified fixed-point enclosure: one integer dot product
 of the coefficients with a cached table of the generator's powers scaled by
-2^P, whose only inexact input is one `mpmath.cos`.  `sign` doubles P until
-the enclosure excludes 0; `approx` returns the double both ends of the
-(slightly widened) enclosure round to, and defers to the mpmath Horner ladder
-only when they round apart.
+2^P, whose only inexact input is one `mpmath.cos`.  Both double P until
+the enclosure decides them: `sign` once it excludes 0, `approx` once both of
+its ends also round to the same double, the correctly rounded value.  mpmath
+serves only that `cos` and the conjugate embeddings of the square detection.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 from typing import Optional
 
 import mpmath
@@ -31,10 +31,7 @@ from ._polys import content, cyclotomic, fold_palindromic, mul, trim
 from .errors import DomainError, VerificationError
 
 _FIXED_PREC = 128  # first P of the fixed-point enclosure
-_LADDER_PREC = 160  # first working precision of the mpmath ladder
-_MAX_PREC = 1 << 22
-_APPROX_REL_BITS = 59  # the ladder's stop |v - x| < |v| 2^-60, widened
-_MIN_NORMAL = 2.0 ** -1022
+_MAX_PREC = 1 << 14  # 16x the largest P certified values were seen to need
 _SQUARE_DETECT_MAX_DEGREE = 8
 _SQUARE_DETECT_MAX_DEN = 10**6
 
@@ -74,10 +71,6 @@ class FieldContext:
 
     def conjugate_indices(self):
         return tuple(k for k in range(1, self.L + 1) if gcd(k, 2 * self.L) == 1)
-
-    @property
-    def real_embedding(self) -> float:
-        return float(_principal_value(self.L, 64))
 
     def __repr__(self):
         return f"FieldContext(L={self.L}, degree={self.degree})"
@@ -182,88 +175,26 @@ def _enclosure(x, P):
             (x.den * x.ext_den) << (2 * P))
 
 
-def _fixed_approx(x):
-    """The double `_ladder_approx(x)` returns, when the enclosure proves it.
-
-    The ladder stops at a v with |v - x| < |v| 2^-60, so v lies within
-    max(|lo|, |hi|) 2^-59 / D of [lo/D, hi/D]; when both ends of that
-    widened interval round to one double (int / int rounds correctly, as
-    the ladder's float(v) does), so does v.  P doubles while the enclosure
-    is wider than the widening; None when the rounding stays ambiguous."""
+def _enclosures(x):
+    """`_enclosure(x, P)` for P = 128, 256, ... up to the cap, skipping a P
+    at which the radicand's enclosure still contains 0; VerificationError
+    when the caller asks past the cap."""
     P = _FIXED_PREC
     while P <= _MAX_PREC:
         enc = _enclosure(x, P)
         if enc is not None:
-            lo, hi, D = enc
-            w = -(-max(abs(lo), abs(hi)) >> _APPROX_REL_BITS)
-            try:
-                f_lo, f_hi = (lo - w) / D, (hi + w) / D
-            except OverflowError:
-                return None
-            if f_lo == f_hi and abs(f_lo) >= _MIN_NORMAL:
-                return f_lo
-            if hi - lo <= w:
-                return None
+            yield enc
         P *= 2
-    return None
+    raise VerificationError("cannot certify the embedding; value too close to zero")
 
 
-def _ladder_approx(x):
-    """The mpmath Horner ladder: evaluate at 160, 320, ... bits until the
-    certified error is below |v| 2^-60, then float(v).  It defines the
-    printed double where the fixed-point enclosure cannot decide it."""
-    prec = _LADDER_PREC
-    while True:
-        v, err = _eval_certified(x, prec)
-        with mpmath.workprec(prec):
-            if mpmath.isfinite(err) and err < abs(v) * mpmath.mpf(2) ** -60:
-                return float(v)
-        prec *= 2
-        if prec > _MAX_PREC:
-            raise VerificationError("embedding did not stabilize")
-
-
-def _eval_certified(x, prec):
-    """(value, error bound) of x under the principal embedding at the given
-    working precision."""
-    gval = _principal_value(x.ctx.L, prec)
-    with mpmath.workprec(prec):
-        eps = mpmath.mpf(2) ** (-prec + 8)
-        v, mag = _eval_vec_bounded(x.num, x.den, gval)
-        err = (mag + 1) * eps * (len(x.num) + 2)
-        if x.ext_num is not None:
-            rv, rerr = _eval_certified(x.radicand, prec)
-            if rv <= 2 * rerr:
-                if rv < -2 * rerr:
-                    raise VerificationError(
-                        "radicand negative in this embedding")
-                return v, mpmath.inf  # cannot certify, force escalation
-            root = mpmath.sqrt(rv)
-            root_err = rerr / (2 * root) + root * eps
-            ev, emag = _eval_vec_bounded(x.ext_num, x.ext_den, gval)
-            eerr = (emag + 1) * eps * (len(x.ext_num) + 2)
-            v += ev * root
-            err += abs(ev) * root_err + eerr * (root + root_err) + abs(v) * eps
-        return v, err
-
-
-def _eval_vec_bounded(num, den, gval):
-    """Horner value together with a magnitude bound sum(|c_i| |g|^i)/den;
-    the rounding error of the evaluation is about the bound times 2^-prec.
-    Large coefficient vectors (e.g. inverses in high-degree fields) cancel
-    massively, so the bound is essential for trusting a sign or a float.
-    Horner starts at the highest nonzero coefficient: the zero padding above
-    it would leave both sums at exactly zero."""
-    top = len(num)
-    while top and not num[top - 1]:
-        top -= 1
-    acc = mpmath.mpf(0)
-    mag = mpmath.mpf(0)
-    ag = abs(gval)
-    for c in reversed(num[:top]):
-        acc = acc * gval + c
-        mag = mag * ag + abs(c)
-    return acc / den, mag / den
+def _to_float(n, d):
+    """n / d correctly rounded (Python's int / int), +-inf past the
+    largest double."""
+    try:
+        return n / d
+    except OverflowError:
+        return inf if n > 0 else -inf
 
 
 def _normalize(num, den):
@@ -495,31 +426,29 @@ class AlgebraicNumber:
     # -- numeric embedding -------------------------------------------------
 
     def approx(self) -> float:
-        """Principal real embedding as a float, certified to full double
-        precision: the fixed-point enclosure where it decides the rounding,
-        else the mpmath ladder (whose working precision escalates past any
-        cancellation)."""
+        """Principal real embedding as the correctly rounded float: P
+        doubles until the fixed-point enclosure excludes zero (a value below
+        the smallest subnormal rounds to the zero of its sign) and both of
+        its ends round to one double, which then (rounding being monotone)
+        is the rounding of the value itself."""
         if self.is_zero:
             return 0.0
-        f = _fixed_approx(self)
-        return _ladder_approx(self) if f is None else f
+        for lo, hi, D in _enclosures(self):
+            if lo > 0 or hi < 0:
+                f = _to_float(lo, D)
+                if f == _to_float(hi, D):
+                    return f
 
     def sign(self) -> int:
         """Exact sign under the principal real embedding (certified: P
         doubles until the fixed-point enclosure excludes zero)."""
         if self.is_zero:
             return 0
-        P = _FIXED_PREC
-        while P <= _MAX_PREC:
-            enc = _enclosure(self, P)
-            if enc is not None:
-                lo, hi, _ = enc
-                if lo > 0:
-                    return 1
-                if hi < 0:
-                    return -1
-            P *= 2
-        raise VerificationError("cannot certify sign; value too close to zero")
+        for lo, hi, _ in _enclosures(self):
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
 
     def __float__(self):
         return self.approx()
@@ -645,7 +574,7 @@ def _detect_square(ctx, D):
     prec = 120
     gvals = _generator_values(ctx.L, prec)
     with mpmath.workprec(prec):
-        conj = [_eval_vec_bounded(D.num, D.den, gv)[0] for gv in gvals]
+        conj = [mpmath.polyval(D.num[::-1], gv) / D.den for gv in gvals]
         if any(c <= mpmath.mpf(2) ** -40 for c in conj):
             return None  # not totally positive, cannot be a square
         roots = [mpmath.sqrt(c) for c in conj]

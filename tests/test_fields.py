@@ -52,7 +52,7 @@ def test_modulus_matches_sympy_minimal_polynomial(L):
 def test_generator_embedding_is_root():
     for L in (5, 7, 12):
         ctx = make_context(L)
-        g = ctx.real_embedding
+        g = AlgebraicNumber.generator(ctx).approx()
         assert abs(g - 2 * cos(pi / L)) < 1e-12
         val = sum(c * g**i for i, c in enumerate(ctx.modulus))
         assert abs(val) < 1e-9
@@ -382,13 +382,79 @@ def test_large_field_embedding_certified():
 
 # -- fixed-point enclosure ------------------------------------------------------
 
+# The mpmath Horner ladder that defined `approx` before the fixed-point
+# enclosure, kept as its reference.
+_LADDER_PREC = 160
+_MAX_PREC = 1 << 22
+
+
+def _ladder_approx(x):
+    """The mpmath Horner ladder: evaluate at 160, 320, ... bits until the
+    certified error is below |v| 2^-60, then float(v)."""
+    import mpmath
+    prec = _LADDER_PREC
+    while True:
+        v, err = _eval_certified(x, prec)
+        with mpmath.workprec(prec):
+            if mpmath.isfinite(err) and err < abs(v) * mpmath.mpf(2) ** -60:
+                return float(v)
+        prec *= 2
+        if prec > _MAX_PREC:
+            raise VerificationError("embedding did not stabilize")
+
+
+def _eval_certified(x, prec):
+    """(value, error bound) of x under the principal embedding at the given
+    working precision."""
+    import mpmath
+    gval = fields._principal_value(x.ctx.L, prec)
+    with mpmath.workprec(prec):
+        eps = mpmath.mpf(2) ** (-prec + 8)
+        v, mag = _eval_vec_bounded(x.num, x.den, gval)
+        err = (mag + 1) * eps * (len(x.num) + 2)
+        if x.ext_num is not None:
+            rv, rerr = _eval_certified(x.radicand, prec)
+            if rv <= 2 * rerr:
+                if rv < -2 * rerr:
+                    raise VerificationError(
+                        "radicand negative in this embedding")
+                return v, mpmath.inf  # cannot certify, force escalation
+            root = mpmath.sqrt(rv)
+            root_err = rerr / (2 * root) + root * eps
+            ev, emag = _eval_vec_bounded(x.ext_num, x.ext_den, gval)
+            eerr = (emag + 1) * eps * (len(x.ext_num) + 2)
+            v += ev * root
+            err += abs(ev) * root_err + eerr * (root + root_err) + abs(v) * eps
+        return v, err
+
+
+def _eval_vec_bounded(num, den, gval):
+    """Horner value together with a magnitude bound sum(|c_i| |g|^i)/den;
+    the rounding error of the evaluation is about the bound times 2^-prec.
+    Large coefficient vectors (e.g. inverses in high-degree fields) cancel
+    massively, so the bound is essential for trusting a sign or a float.
+    Horner starts at the highest nonzero coefficient: the zero padding above
+    it would leave both sums at exactly zero."""
+    import mpmath
+    top = len(num)
+    while top and not num[top - 1]:
+        top -= 1
+    acc = mpmath.mpf(0)
+    mag = mpmath.mpf(0)
+    ag = abs(gval)
+    for c in reversed(num[:top]):
+        acc = acc * gval + c
+        mag = mag * ag + abs(c)
+    return acc / den, mag / den
+
+
 def _ladder_sign(x):
     """The mpmath Horner ladder's sign: the certified error must be below
     half the value."""
     import mpmath
     prec = 160
     while True:
-        v, err = fields._eval_certified(x, prec)
+        v, err = _eval_certified(x, prec)
         with mpmath.workprec(prec):
             if mpmath.isfinite(err) and abs(v) > 2 * err:
                 return 1 if v > 0 else -1
@@ -433,7 +499,7 @@ def test_enclosure_holds_against_worst_table_errors():
     x = AlgebraicNumber._make(make_context(L), num, 7)
     lo, hi, D = fields._enclosure(x, P)
     with mpmath.workprec(4 * 920 + P):
-        true = fields._eval_certified(x, 4 * 920 + P)[0]
+        true = _eval_certified(x, 4 * 920 + P)[0]
         assert mpmath.mpf(lo) / D <= true <= mpmath.mpf(hi) / D
         # the table errors add up: the value sits in the outer half
         mid, half = mpmath.mpf(lo + hi) / (2 * D), mpmath.mpf(hi - lo) / (2 * D)
@@ -467,23 +533,23 @@ def _hyperbolic_types_up_to(bound):
 @pytest.mark.parametrize("m,n", _hyperbolic_types_up_to(12) + [(44, 47), (46, 50)])
 def test_fixed_point_approx_and_sign_match_ladder(m, n):
     for x in _certified_elements(m, n):
-        ref = fields._ladder_approx(x)
-        fast = fields._fixed_approx(x)
-        assert fast is None or fast == ref
+        ref = _ladder_approx(x)
         assert x.approx() == ref
         assert x.sign() == _ladder_sign(x)
 
 
-def test_ambiguous_rounding_takes_the_ladder():
+def test_ambiguous_rounding_decided_by_the_enclosure():
     """4cos^2(pi/46), the (1,2) cyclic product of (46,50) printed by
     `tracefield 46 50`, lies 0.485 units in the last place above its double:
-    the widened enclosure straddles the rounding midpoint, so the ladder
-    decides the printed double."""
+    close enough to the rounding midpoint that an enclosure widened by the
+    ladder's 2^-59 straddled it, but both ends of the plain 128-bit
+    enclosure round to the ladder's double."""
     from tilinglinks.coxeter import build_presentation, enumerate_cyclic_products
     x = dict(enumerate_cyclic_products(build_presentation(46, 50)))[(1, 2)]
     assert x == embed_cos(x.ctx, 46) * embed_cos(x.ctx, 46)
-    assert fields._fixed_approx(x) is None
-    assert x.approx() == fields._ladder_approx(x) == 3.9813718920726613
+    lo, hi, D = fields._enclosure(x, 128)
+    assert lo / D == hi / D == 3.9813718920726613
+    assert x.approx() == _ladder_approx(x) == 3.9813718920726613
 
 
 def test_sign_of_tiny_element_escalates():
@@ -511,7 +577,12 @@ def test_sign_of_tiny_element_escalates():
         lo, hi, _ = fields._enclosure(y, 128)
         assert lo <= 0 <= hi
         assert y.sign() == _ladder_sign(y) == (1 if true > 0 else -1)
-        assert y.approx() == fields._ladder_approx(y) == float(true)
+        assert y.approx() == _ladder_approx(y) == float(true)
+        # below the smallest subnormal: the double is a zero with the
+        # value's sign, though both ends of the 128-bit enclosure round to 0
+        z = y / 2**1100
+        assert repr(z.approx()) == repr(_ladder_approx(z)) \
+            == ("0.0" if true > 0 else "-0.0")
         signs.add(y.sign())
     assert signs == {-1, 1}
 
@@ -520,10 +591,42 @@ def test_sign_of_tiny_element_escalates():
                                    Fraction(-7, 10**400)])
 def test_approx_outside_the_normal_range_matches_ladder(value):
     """Past the largest double and below the smallest normal one the
-    ladder's float(v) (inf, or 53 bits then a subnormal) is what prints."""
+    rounding of the enclosure (inf, a subnormal, -0.0) is the ladder's
+    float(v) (inf, or 53 bits then a subnormal)."""
     x = AlgebraicNumber.rational(make_context(12), value)
-    assert fields._fixed_approx(x) is None
-    assert x.approx() == fields._ladder_approx(x)
+    assert x.approx() == _ladder_approx(x)
+    assert repr(x.approx()) == repr(_ladder_approx(x))  # the sign of -0.0
+
+
+def test_approx_and_sign_need_no_mpmath_once_warm(monkeypatch):
+    """With the power tables and the generator's value cached, `approx` and
+    `sign` are integer arithmetic alone: (46,50) includes 4cos^2(pi/46),
+    the element whose double once came from the mpmath ladder."""
+    xs = _certified_elements(46, 50)
+    warm = [(x.approx(), x.sign()) for x in xs]
+
+    class NoMpmath:
+        def __getattr__(self, name):
+            raise AssertionError(f"mpmath.{name} used")
+
+    monkeypatch.setattr(fields, "mpmath", NoMpmath())
+    assert [(x.approx(), x.sign()) for x in xs] == warm
+
+
+@pytest.mark.parametrize("L", [12, 2068])
+def test_undecidable_element_gives_up_at_the_cap(L):
+    """c - sqrt(c^2) with c = g + 3 is exactly zero, but with c^2 as a
+    radicand `is_zero` cannot see it, and every enclosure contains 0:
+    `sign` and `approx` must raise once P passes the cap."""
+    ctx = make_context(L)
+    c = AlgebraicNumber.generator(ctx) + 3
+    minus_one = (-1,) + (0,) * (ctx.degree - 1)
+    x = AlgebraicNumber._make(ctx, c.num, c.den, minus_one, 1, c * c)
+    assert not x.is_zero
+    with pytest.raises(VerificationError, match="too close to zero"):
+        x.sign()
+    with pytest.raises(VerificationError, match="too close to zero"):
+        x.approx()
 
 
 def test_negative_radicand_raises():
