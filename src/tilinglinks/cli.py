@@ -263,9 +263,11 @@ def cmd_sweep(args, out):
 def cmd_report(args, out):
     if args.bound > MAX_PARAM:
         raise DomainError(f"bound must be <= {MAX_PARAM}")
+    if args.bound < 3:
+        raise DomainError("bound must be >= 3")
     _check_sampling(args.samples, args.seed)
     rows = classification_rows(args.bound)
-    sweep = arithmetic_sweep(args.bound, args.bound) if args.bound >= 3 else []
+    sweep = arithmetic_sweep(args.bound, args.bound)
     geometry = []
     if args.with_geometry:
         from .lorentz import build_drum, build_platonic_cell

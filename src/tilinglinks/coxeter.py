@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+from math import copysign, hypot, lcm, sqrt
 from typing import Optional, Sequence, Union
-
-import mpmath
 
 from .errors import DomainError, GeometryError, VerificationError
 from .fields import (AlgebraicNumber, FieldContext, adjoin_sqrt, as_json_dict,
@@ -29,6 +27,7 @@ from .fields import (AlgebraicNumber, FieldContext, adjoin_sqrt, as_json_dict,
 
 SPHERICAL_TYPES = {(3, 3), (4, 3), (5, 3)}
 EUCLIDEAN_TYPES = {(4, 4), (6, 3)}
+_JACOBI_SWEEPS = 50  # convergence is quadratic: the Grams here take 5-7
 
 
 def geometry_of(m: int, n: int) -> str:
@@ -307,9 +306,10 @@ def rank_and_signature(p: GramLike) -> tuple[int, int, int]:
     For a hyperbolic presentation the exact part runs on the K0-congruent
     Gram matrix of `_k0_congruent_gram`; raw rows and spherical
     presentations are used as given.  The numeric cross-check always uses
-    the original Gram matrix: its float eigenvalues, from `mpmath.eigsy` at
-    53 bits, are counted against the thresholds +-1e-9, and a disagreement
-    with the exact counts raises `VerificationError`.
+    the original Gram matrix: its float eigenvalues, from the cyclic Jacobi
+    method on the `approx` doubles, are counted against the thresholds
+    +-1e-9, and a disagreement with the exact counts, like a Jacobi
+    iteration that does not converge, raises `VerificationError`.
     """
     rows = p.gram if isinstance(p, CoxeterPresentation) else p
     exact_rows = (_k0_congruent_gram(p)
@@ -330,13 +330,7 @@ def rank_and_signature(p: GramLike) -> tuple[int, int, int]:
     if pos + neg != rank:
         raise VerificationError("Descartes counts inconsistent with exact rank")
 
-    fl = mpmath.matrix([[e.approx() for e in row] for row in rows])
-    try:
-        with mpmath.workprec(53):
-            ev = mpmath.eigsy(fl, eigvals_only=True)
-    except RuntimeError as exc:  # the QL iteration did not converge
-        raise VerificationError(
-            f"numeric eigenvalue cross-check failed: {exc}") from exc
+    ev = _jacobi_eigenvalues([[e.approx() for e in row] for row in rows])
     num = (sum(1 for v in ev if v > 1e-9), sum(1 for v in ev if v < -1e-9),
            sum(1 for v in ev if abs(v) <= 1e-9))
     if num != (pos, neg, s - rank):
@@ -344,6 +338,44 @@ def rank_and_signature(p: GramLike) -> tuple[int, int, int]:
             f"exact signature ({pos},{neg},{s - rank}) disagrees with "
             f"numeric eigenvalues {num}")
     return rank, pos, neg
+
+
+def _jacobi_eigenvalues(a):
+    """Eigenvalues of the symmetric float matrix with rows `a` by the cyclic
+    Jacobi method (Golub & Van Loan, Matrix Computations, 8.5; the rotation
+    in Rutishauser's form): sweeps of plane rotations, each zeroing one
+    off-diagonal pair, until the Frobenius norm of the off-diagonal part,
+    which bounds the error of every diagonal entry as an eigenvalue, is at
+    most 2^-53 of the whole matrix's.  VerificationError when
+    `_JACOBI_SWEEPS` sweeps do not get there."""
+    a = [list(row) for row in a]
+    n = len(a)
+    tol = 2.0 ** -53 * sqrt(sum(v * v for row in a for v in row))
+    for _ in range(_JACOBI_SWEEPS):
+        if sqrt(sum(a[i][j] ** 2 for i in range(n)
+                    for j in range(n) if i != j)) <= tol:
+            return [a[i][i] for i in range(n)]
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2 * apq)
+                t = copysign(1.0, theta) / (abs(theta) + hypot(theta, 1.0))
+                c = 1 / hypot(t, 1.0)
+                s = t * c
+                tau = s / (1 + c)
+                a[p][p] -= t * apq
+                a[q][q] += t * apq
+                a[p][q] = a[q][p] = 0.0
+                for r in range(n):
+                    if r != p and r != q:
+                        arp, arq = a[r][p], a[r][q]
+                        a[r][p] = a[p][r] = arp - s * (arq + tau * arp)
+                        a[r][q] = a[q][r] = arq + s * (arp - tau * arq)
+    raise VerificationError(
+        "numeric eigenvalue cross-check failed: no convergence in "
+        f"{_JACOBI_SWEEPS} Jacobi sweeps")
 
 
 @lru_cache(maxsize=None)

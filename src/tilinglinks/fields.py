@@ -7,10 +7,11 @@ adjoined square root.  All ring operations are exact.  Floating point enters
 only through `approx`/`sign`, which bound the value under the distinguished
 real embedding by a certified fixed-point enclosure: one integer dot product
 of the coefficients with a cached table of the generator's powers scaled by
-2^P, whose only inexact input is one `mpmath.cos`.  Both double P until
-the enclosure decides them: `sign` once it excludes 0, `approx` once both of
-its ends also round to the same double, the correctly rounded value.  mpmath
-serves only that `cos` and the conjugate embeddings of the square detection.
+2^P, built in integers from 2cos(pi/L) rounded to fixed point.  Both double
+P until the enclosure decides them: `sign` once it excludes 0, `approx` once
+both of its ends also round to the same double, the correctly rounded value.
+mpmath serves only the conjugate embeddings of the square detection, and is
+imported there.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -24,8 +25,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, inf, isqrt
 from typing import Optional
-
-import mpmath
 
 from ._polys import content, cyclotomic, fold_palindromic, mul, trim
 from .errors import DomainError, VerificationError
@@ -94,19 +93,48 @@ def make_context(L: int) -> FieldContext:
     return FieldContext(L=L, modulus=modulus, degree=len(modulus) - 1)
 
 
-@lru_cache(maxsize=None)
-def _principal_value(L, prec):
-    """The generator 2cos(pi/L) under the principal embedding; the same
-    value as `_generator_values(L, prec)[0]`, bit for bit."""
-    with mpmath.workprec(prec + 20):
-        return 2 * mpmath.cos(mpmath.pi * 1 / L)
+def _arctan_inv(n, W):
+    """2^W arctan(1/n) for an integer n > 1 by its Taylor series, each term
+    floored once: within its term count + 1 of the exact value."""
+    power, n2 = (1 << W) // n, n * n
+    total, k = 0, 1
+    while power:
+        term = power // k
+        total += term if k & 2 == 0 else -term
+        power //= n2
+        k += 2
+    return total
+
+
+def _two_cos_pi_over(L, q):
+    """G with |G - 2cos(pi/L) 2^q| <= 1, in integers only.
+
+    pi = 16 arctan(1/5) - 4 arctan(1/239) (Machin) and cos(pi/L) by its
+    Taylor series, both in fixed point at W = q + guard bits, then rounded
+    to nearest.  pi is within 4W + 40 units of 2^-W; each of the fewer than
+    W cosine terms adds a few units, and none amplifies an earlier error
+    more than 5-fold (x^2/2 <= pi^2/2), so twice the sum is within
+    2^(bitlen(W) + 7) units of 2cos(pi/L) 2^W.  The guard bits
+    32 + 2 bitlen(q) make that less than 2^-24 of a unit of 2^-q."""
+    guard = 32 + 2 * q.bit_length()
+    W = q + guard
+    x = (16 * _arctan_inv(5, W) - 4 * _arctan_inv(239, W)) // L
+    x2 = x * x >> W
+    term = total = 1 << W
+    k = 0
+    while term:
+        k += 2
+        term = -(term * x2 >> W) // ((k - 1) * k)
+        total += term
+    return (total + (1 << (guard - 2))) >> (guard - 1)
 
 
 @lru_cache(maxsize=None)
 def _generator_values(L, prec):
     """Real embeddings of the generator: 2cos(k*pi/L) over k coprime to 2L,
     principal embedding (k=1) first.  Only the square detection needs the
-    conjugates; `approx` and `sign` use `_principal_value`."""
+    conjugates; `approx` and `sign` use `_two_cos_pi_over`."""
+    import mpmath
     ctx = make_context(L)
     with mpmath.workprec(prec + 20):
         vals = tuple(2 * mpmath.cos(mpmath.pi * k / L)
@@ -119,17 +147,16 @@ def _power_table(L, P):
     """Integers T_i with |T_i - g^i 2^P| <= 1 for i < degree, g = 2cos(pi/L).
 
     The powers are floor-products X_(i+1) = floor(X_i G / 2^Q) of one
-    G = floor(g 2^Q), Q = P + guard bits.  |G - g 2^Q| <= 1 (up to the
-    2^-16 error of `_principal_value`) and G < 2^(Q+1), so each product at
-    most doubles the error of X_i and adds g^i + 1 to it: X_i is within
+    G = `_two_cos_pi_over(L, Q)`, Q = P + guard bits.  |G - g 2^Q| <= 1
+    and |G| <= 2^(Q+1), so each product at most doubles the error of X_i
+    and adds g^i + 1 to it: X_i is within
     (i + 2) 2^(i-1) < 2^(degree + bitlen(degree) - 1) of g^i 2^Q.  The
     guard bits degree + bitlen(degree) + 8 shrink that below 2^-9 before
     T_i is rounded to nearest."""
     d = make_context(L).degree
     shift = d + d.bit_length() + 8
     q = P + shift
-    man, exp = _principal_value(L, q).man_exp
-    G = man << (exp + q) if exp + q >= 0 else man >> -(exp + q)
+    G = _two_cos_pi_over(L, q)
     half = 1 << (shift - 1)
     x = 1 << q
     table = []
@@ -570,6 +597,7 @@ def adjoin_sqrt(ctx: FieldContext, D: AlgebraicNumber) -> AlgebraicNumber:
 def _detect_square(ctx, D):
     """Candidate sqrt(D) in K0 from the conjugate embeddings, then exact
     verification.  Returns None when no candidate verifies."""
+    import mpmath
     d = ctx.degree
     prec = 120
     gvals = _generator_values(ctx.L, prec)

@@ -110,12 +110,20 @@ def test_report_bound_6_includes_euclidean():
 
 
 def test_report_bound_3():
-    _, out = run_cli("report", "--bound", "3", "--format", "json")
+    code, out = run_cli("report", "--bound", "3", "--format", "json")
+    assert code == 0
     doc = json.loads(out)
     assert doc["classification"] == [
         {"m": 3, "n": 3, "geometry": "Spherical", "arithmetic": True,
          "trace_field": "Q(i)", "min_orbifold_degree": "not_applicable",
          "commensurability_class_id": "C1"}]
+
+
+@pytest.mark.parametrize("bound", ["2", "0", "-5"])
+def test_report_bound_below_3_exit_2(bound, capsys):
+    code, out = run_cli("report", "--bound", bound, "--with-geometry")
+    assert code == 2 and out == ""
+    assert "bound must be >= 3" in capsys.readouterr().err
 
 
 def test_json_roundtrip_byte_identical():
@@ -262,15 +270,28 @@ for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    loaded.append([code, "numpy" in sys.modules])
+    loaded.append([code, sys.argv[2] in sys.modules])
 print(json.dumps(loaded))
 """
 
 
-def test_numpy_loaded_only_for_float_geometry():
+def _probe_imports(module, argvs):
+    """[exit code, whether `module` is loaded after it] for each argv, run
+    in order in one fresh interpreter."""
     import os
     import subprocess
     import sys
+    src = os.path.dirname(os.path.dirname(tilinglinks.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("TILINGLINKS_FORMAT", None)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
+                           json.dumps(argvs), module], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_numpy_loaded_only_for_float_geometry():
     argvs = [["gram", "44", "47", "--format", "json"],
              ["tracefield", "6", "4", "--format", "json"],
              ["arithmetic", "22", "43", "--format", "json"],
@@ -278,15 +299,22 @@ def test_numpy_loaded_only_for_float_geometry():
              ["commensurable", "3", "3", "6", "6"],
              ["gram", "4", "4"],
              ["geometry-verify", "--cell", "tetrahedron", "--samples", "10"]]
-    src = os.path.dirname(os.path.dirname(tilinglinks.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("TILINGLINKS_FORMAT", None)
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
-                           json.dumps(argvs)], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, False]] * 5 + [[2, False],
-                                                         [0, True]]
+    assert _probe_imports("numpy", argvs) == [[0, False]] * 5 + [[2, False],
+                                                                [0, True]]
+
+
+def test_mpmath_loaded_only_for_square_detection():
+    # (10,6) has a totally positive D of degree 4, so its sqrt(D) goes
+    # through the square detection and its conjugate embeddings
+    argvs = [["gram", "44", "47", "--format", "json"],
+             ["tracefield", "6", "4", "--format", "json"],
+             ["arithmetic", "22", "43", "--format", "json"],
+             ["classify", "37", "17", "--genus", "2"],
+             ["commensurable", "3", "3", "6", "6"],
+             ["sweep", "--format", "json"],
+             ["report", "--bound", "12", "--format", "json"],
+             ["tracefield", "10", "6", "--format", "json"]]
+    assert _probe_imports("mpmath", argvs) == [[0, False]] * 7 + [[0, True]]
 
 
 def test_package_exports_resolve():

@@ -214,38 +214,35 @@ def test_rank_signature_k0_path_matches_generic_up_to_12():
         assert rank_and_signature(p) == rank_and_signature(p.gram), (m, n)
 
 
-def test_eigsy_cross_check_matches_numpy_eigvalsh():
-    # the numeric cross-check runs mpmath.eigsy at 53 bits; LAPACK's
-    # eigvalsh on the same float Gram matrix is the reference
-    import mpmath
+def test_jacobi_cross_check_matches_numpy_eigvalsh():
+    # the numeric cross-check runs the cyclic Jacobi method in doubles;
+    # LAPACK's eigvalsh on the same float Gram matrix is the reference
     import numpy as np
     for (m, n) in HYPERBOLIC_PAIRS_12 + sorted(SPHERICAL_TYPES):
         p = build_presentation(m, n)
         fl = p.gram_float()
-        with mpmath.workprec(53):
-            ev = mpmath.eigsy(mpmath.matrix(fl.tolist()), eigvals_only=True)
+        ev = coxeter._jacobi_eigenvalues(fl.tolist())
         got = sorted(float(v) for v in ev)
         want = np.linalg.eigvalsh(fl)
         assert np.max(np.abs(np.array(got) - want)) < 1e-12, (m, n)
 
 
 @pytest.mark.parametrize("fake", [
-    lambda A, eigvals_only: [1.0] * A.rows,  # positive definite
+    lambda a: [1.0] * len(a),  # positive definite
     # 1e-3 lies beyond the zero threshold 1e-9: one zero too few
-    lambda A, eigvals_only: [1.0, 1.0, 1.0, -1.0, 1e-3, 0.0][:A.rows],
+    lambda a: [1.0, 1.0, 1.0, -1.0, 1e-3, 0.0][:len(a)],
 ])
 def test_rank_signature_rejects_disagreeing_eigenvalues(monkeypatch, fake):
-    monkeypatch.setattr(coxeter.mpmath, "eigsy", fake)
+    monkeypatch.setattr(coxeter, "_jacobi_eigenvalues", fake)
     for p in (build_hyperbolic_presentation(6, 4),
               build_spherical_presentation(5, 3)):
         with pytest.raises(VerificationError, match="numeric eigenvalues"):
             rank_and_signature(p)
 
 
-def test_rank_signature_eigsy_no_convergence(monkeypatch):
-    def fail(A, eigvals_only):
-        raise RuntimeError("tridiag_eigen: no convergence")
-    monkeypatch.setattr(coxeter.mpmath, "eigsy", fail)
+def test_rank_signature_jacobi_no_convergence(monkeypatch):
+    # one sweep leaves the (6,4) Gram matrix far from diagonal
+    monkeypatch.setattr(coxeter, "_JACOBI_SWEEPS", 1)
     with pytest.raises(VerificationError, match="no convergence"):
         rank_and_signature(build_hyperbolic_presentation(6, 4))
 

@@ -1,6 +1,8 @@
 """Exact field arithmetic: oracle comparisons against sympy and property
 tests of the ring axioms."""
 
+import functools
+import sys
 from fractions import Fraction
 from math import cos, pi
 
@@ -61,8 +63,42 @@ def test_generator_embedding_is_root():
 @pytest.mark.parametrize("L,prec", [(1, 64), (2, 160), (5, 64), (12, 320),
                                     (91, 1280), (2068, 160), (2068, 640)])
 def test_principal_value_is_first_conjugate(L, prec):
-    assert fields._principal_value(L, prec) == \
-        fields._generator_values(L, prec)[0]
+    # the integer principal value that `approx`/`sign` use is the first of
+    # the conjugates the square detection evaluates
+    import mpmath
+    with mpmath.workprec(prec + 20):
+        scaled = mpmath.ldexp(fields._generator_values(L, prec)[0], prec)
+        assert abs(fields._two_cos_pi_over(L, prec) - scaled) <= 1
+
+
+def _power_table_q(L, P):
+    """The fixed-point scale `_power_table(L, P)` asks `_two_cos_pi_over`
+    for: P plus its guard bits (degree phi(2L)/2 for L >= 3)."""
+    d = fields._totient(2 * L) // 2
+    return P + d + d.bit_length() + 8
+
+
+def _assert_two_cos_within_one(Ls, P):
+    """|G - 2cos(pi/L) 2^q| <= 1 at the table's q, against mpmath at
+    q + 200 bits; rounding to nearest leaves G within 1/2 + 2^-24."""
+    import mpmath
+    for L in Ls:
+        q = _power_table_q(L, P)
+        with mpmath.workprec(q + 200):
+            err = abs(fields._two_cos_pi_over(L, q)
+                      - mpmath.ldexp(2 * mpmath.cos(mpmath.pi / L), q))
+            assert err <= 0.5 + mpmath.mpf(2) ** -24, (L, P)
+
+
+@pytest.mark.parametrize("P", [128, 256, 1024])
+def test_two_cos_pi_over_matches_mpmath(P):
+    from math import lcm
+    Ls = sorted({lcm(m, n) for m in range(3, 51) for n in range(3, 51)})
+    _assert_two_cos_within_one(Ls, P)
+
+
+def test_two_cos_pi_over_matches_mpmath_at_the_cap():
+    _assert_two_cos_within_one((3, 12, 2068), fields._MAX_PREC)
 
 
 @pytest.mark.parametrize("L", [60, 91, 1073])
@@ -383,9 +419,17 @@ def test_large_field_embedding_certified():
 # -- fixed-point enclosure ------------------------------------------------------
 
 # The mpmath Horner ladder that defined `approx` before the fixed-point
-# enclosure, kept as its reference.
+# enclosure, kept as its reference, with the generator value it evaluated at.
 _LADDER_PREC = 160
 _MAX_PREC = 1 << 22
+
+
+@functools.lru_cache(maxsize=None)
+def _principal_value(L, prec):
+    """The generator 2cos(pi/L) under the principal embedding."""
+    import mpmath
+    with mpmath.workprec(prec + 20):
+        return 2 * mpmath.cos(mpmath.pi * 1 / L)
 
 
 def _ladder_approx(x):
@@ -407,7 +451,7 @@ def _eval_certified(x, prec):
     """(value, error bound) of x under the principal embedding at the given
     working precision."""
     import mpmath
-    gval = fields._principal_value(x.ctx.L, prec)
+    gval = _principal_value(x.ctx.L, prec)
     with mpmath.workprec(prec):
         eps = mpmath.mpf(2) ** (-prec + 8)
         v, mag = _eval_vec_bounded(x.num, x.den, gval)
@@ -598,19 +642,16 @@ def test_approx_outside_the_normal_range_matches_ladder(value):
     assert repr(x.approx()) == repr(_ladder_approx(x))  # the sign of -0.0
 
 
-def test_approx_and_sign_need_no_mpmath_once_warm(monkeypatch):
-    """With the power tables and the generator's value cached, `approx` and
-    `sign` are integer arithmetic alone: (46,50) includes 4cos^2(pi/46),
-    the element whose double once came from the mpmath ladder."""
+def test_approx_and_sign_need_no_mpmath(monkeypatch):
+    """`approx` and `sign` are integer arithmetic alone, power tables
+    included: with mpmath unimportable and the tables cleared, the certified
+    elements of (46,50) give the same values.  They include 4cos^2(pi/46),
+    whose double once came from the mpmath ladder."""
     xs = _certified_elements(46, 50)
-    warm = [(x.approx(), x.sign()) for x in xs]
-
-    class NoMpmath:
-        def __getattr__(self, name):
-            raise AssertionError(f"mpmath.{name} used")
-
-    monkeypatch.setattr(fields, "mpmath", NoMpmath())
-    assert [(x.approx(), x.sign()) for x in xs] == warm
+    want = [(x.approx(), x.sign()) for x in xs]
+    fields._power_table.cache_clear()
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    assert [(x.approx(), x.sign()) for x in xs] == want
 
 
 @pytest.mark.parametrize("L", [12, 2068])
