@@ -93,12 +93,6 @@ def classify_geometry(m: int, n: int,
         return GeometryClassification(
             t, False, None,
             f"no such tiling: Euler count V = {chi}/({k}) is not a positive integer")
-    if t.geometry == "Spherical" and genus != 0:
-        return GeometryClassification(t, False, None,
-                                      "no such tiling: spherical type needs genus 0")
-    if t.geometry == "Hyperbolic" and genus < 2:
-        return GeometryClassification(t, False, None,
-                                      "no such tiling: hyperbolic type needs genus >= 2")
     return GeometryClassification(t, True, int(v), "")
 
 

@@ -10,8 +10,9 @@ of the coefficients with a cached table of the generator's powers scaled by
 2^P, built in integers from 2cos(pi/L) rounded to fixed point.  Both double
 P until the enclosure decides them: `sign` once it excludes 0, `approx` once
 both of its ends also round to the same double, the correctly rounded value.
-mpmath serves only the conjugate embeddings of the square detection, and is
-imported there.
+The same tables, built from 2cos(k pi/L), give the conjugate embeddings
+that the square detection of `adjoin_sqrt` needs, so no numeric library is
+imported here.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -23,7 +24,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, inf, isqrt
+from math import gcd, inf, isqrt, lcm
 from typing import Optional
 
 from ._polys import content, cyclotomic, fold_palindromic, mul, trim
@@ -106,48 +107,37 @@ def _arctan_inv(n, W):
     return total
 
 
-def _two_cos_pi_over(L, q):
-    """G with |G - 2cos(pi/L) 2^q| <= 1, in integers only.
+def _two_cos_pi_over(L, q, k=1):
+    """G with |G - 2cos(k pi/L) 2^q| <= 1 for 0 < k <= L, in integers only.
 
-    pi = 16 arctan(1/5) - 4 arctan(1/239) (Machin) and cos(pi/L) by its
+    pi = 16 arctan(1/5) - 4 arctan(1/239) (Machin) and cos(k pi/L) by its
     Taylor series, both in fixed point at W = q + guard bits, then rounded
     to nearest.  pi is within 4W + 40 units of 2^-W; each of the fewer than
     W cosine terms adds a few units, and none amplifies an earlier error
     more than 5-fold (x^2/2 <= pi^2/2), so twice the sum is within
-    2^(bitlen(W) + 7) units of 2cos(pi/L) 2^W.  The guard bits
+    2^(bitlen(W) + 7) units of 2cos(k pi/L) 2^W.  The guard bits
     32 + 2 bitlen(q) make that less than 2^-24 of a unit of 2^-q."""
     guard = 32 + 2 * q.bit_length()
     W = q + guard
-    x = (16 * _arctan_inv(5, W) - 4 * _arctan_inv(239, W)) // L
+    x = (16 * _arctan_inv(5, W) - 4 * _arctan_inv(239, W)) * k // L
     x2 = x * x >> W
     term = total = 1 << W
-    k = 0
+    j = 0
     while term:
-        k += 2
-        term = -(term * x2 >> W) // ((k - 1) * k)
+        j += 2
+        term = -(term * x2 >> W) // ((j - 1) * j)
         total += term
     return (total + (1 << (guard - 2))) >> (guard - 1)
 
 
-@lru_cache(maxsize=None)
-def _generator_values(L, prec):
-    """Real embeddings of the generator: 2cos(k*pi/L) over k coprime to 2L,
-    principal embedding (k=1) first.  Only the square detection needs the
-    conjugates; `approx` and `sign` use `_two_cos_pi_over`."""
-    import mpmath
-    ctx = make_context(L)
-    with mpmath.workprec(prec + 20):
-        vals = tuple(2 * mpmath.cos(mpmath.pi * k / L)
-                     for k in ctx.conjugate_indices())
-    return vals
-
-
 @lru_cache(maxsize=32)
-def _power_table(L, P):
-    """Integers T_i with |T_i - g^i 2^P| <= 1 for i < degree, g = 2cos(pi/L).
+def _power_table(L, P, k=1):
+    """Integers T_i with |T_i - g^i 2^P| <= 1 for i < degree, where
+    g = 2cos(k pi/L) is the conjugate `k` of the generator (k = 1 the
+    principal one).
 
     The powers are floor-products X_(i+1) = floor(X_i G / 2^Q) of one
-    G = `_two_cos_pi_over(L, Q)`, Q = P + guard bits.  |G - g 2^Q| <= 1
+    G = `_two_cos_pi_over(L, Q, k)`, Q = P + guard bits.  |G - g 2^Q| <= 1
     and |G| <= 2^(Q+1), so each product at most doubles the error of X_i
     and adds g^i + 1 to it: X_i is within
     (i + 2) 2^(i-1) < 2^(degree + bitlen(degree) - 1) of g^i 2^Q.  The
@@ -156,7 +146,7 @@ def _power_table(L, P):
     d = make_context(L).degree
     shift = d + d.bit_length() + 8
     q = P + shift
-    G = _two_cos_pi_over(L, q)
+    G = _two_cos_pi_over(L, q, k)
     half = 1 << (shift - 1)
     x = 1 << q
     table = []
@@ -166,23 +156,24 @@ def _power_table(L, P):
     return tuple(table)
 
 
-def _base_enclosure(num, L, P):
-    """(S, E) with |sum c_i g^i - S / 2^P| <= E / 2^P: S is an exact dot
-    product with the power table, so sum |c_i| bounds its error; the + 1
-    is slack."""
-    S = sum(map(operator.mul, num, _power_table(L, P)))
+def _base_enclosure(num, L, P, k):
+    """(S, E) with |sum c_i g^i - S / 2^P| <= E / 2^P, g = 2cos(k pi/L): S
+    is an exact dot product with the power table, so sum |c_i| bounds its
+    error; the + 1 is slack."""
+    S = sum(map(operator.mul, num, _power_table(L, P, k)))
     return S, sum(map(abs, num)) + 1
 
 
-def _enclosure(x, P):
-    """(lo, hi, D) with lo/D <= x <= hi/D under the principal embedding, or
-    None when the radicand's enclosure does not exclude 0 at this P."""
+def _enclosure(x, P, k=1):
+    """(lo, hi, D) with lo/D <= x <= hi/D under the embedding
+    g -> 2cos(k pi/L) (k = 1 the principal one), or None when the
+    radicand's enclosure does not exclude 0 at this P."""
     L = x.ctx.L
-    S, E = _base_enclosure(x.num, L, P)
+    S, E = _base_enclosure(x.num, L, P, k)
     if x.ext_num is None:
         return S - E, S + E, x.den << P
     rad = x.radicand
-    rs, re = _base_enclosure(rad.num, L, P)
+    rs, re = _base_enclosure(rad.num, L, P, k)
     if rs + re < 0:
         raise VerificationError("radicand negative in this embedding")
     if rs - re <= 0:
@@ -192,7 +183,7 @@ def _enclosure(x, P):
     r_lo = ((rs - re) << P) // rad.den
     r_hi = -((-(rs + re) << P) // rad.den)
     s_lo, s_hi = isqrt(r_lo), isqrt(r_hi - 1) + 1
-    bs, be = _base_enclosure(x.ext_num, L, P)
+    bs, be = _base_enclosure(x.ext_num, L, P, k)
     ends = ((bs - be) * s_lo, (bs - be) * s_hi,
             (bs + be) * s_lo, (bs + be) * s_hi)
     # common denominator den * ext_den * 2^(2P)
@@ -202,13 +193,13 @@ def _enclosure(x, P):
             (x.den * x.ext_den) << (2 * P))
 
 
-def _enclosures(x):
-    """`_enclosure(x, P)` for P = 128, 256, ... up to the cap, skipping a P
-    at which the radicand's enclosure still contains 0; VerificationError
+def _enclosures(x, k=1):
+    """`_enclosure(x, P, k)` for P = 128, 256, ... up to the cap, skipping a
+    P at which the radicand's enclosure still contains 0; VerificationError
     when the caller asks past the cap."""
     P = _FIXED_PREC
     while P <= _MAX_PREC:
-        enc = _enclosure(x, P)
+        enc = _enclosure(x, P, k)
         if enc is not None:
             yield enc
         P *= 2
@@ -595,42 +586,49 @@ def adjoin_sqrt(ctx: FieldContext, D: AlgebraicNumber) -> AlgebraicNumber:
 
 
 def _detect_square(ctx, D):
-    """Candidate sqrt(D) in K0 from the conjugate embeddings, then exact
-    verification.  Returns None when no candidate verifies."""
-    import mpmath
-    d = ctx.degree
-    prec = 120
-    gvals = _generator_values(ctx.L, prec)
-    with mpmath.workprec(prec):
-        conj = [mpmath.polyval(D.num[::-1], gv) / D.den for gv in gvals]
-        if any(c <= mpmath.mpf(2) ** -40 for c in conj):
-            return None  # not totally positive, cannot be a square
-        roots = [mpmath.sqrt(c) for c in conj]
-        V = mpmath.matrix(d, d)
-        for i, gv in enumerate(gvals):
-            p = mpmath.mpf(1)
-            for j in range(d):
-                V[i, j] = p
-                p *= gv
-        for bits in range(1 << (d - 1)):
-            rhs = mpmath.matrix(
-                [roots[0]] + [roots[i + 1] * (1 if bits >> i & 1 else -1)
-                              for i in range(d - 1)])
-            try:
-                sol = mpmath.lu_solve(V, rhs)
-            except ZeroDivisionError:
-                return None
-            scale = 1 << 96
-            coeffs = [Fraction(int(mpmath.floor(s * scale + mpmath.mpf("0.5"))), scale)
-                      .limit_denominator(_SQUARE_DETECT_MAX_DEN)
-                      for s in sol]
-            dd = 1
-            for f in coeffs:
-                dd = dd * f.denominator // gcd(dd, f.denominator)
-            cand = AlgebraicNumber._make(
-                ctx, tuple(int(f * dd) for f in coeffs), dd)
-            if cand * cand == D:
-                return cand if cand.sign() > 0 else -cand
+    """sqrt(D) in K0, or None when D is not totally positive or no
+    candidate verifies.
+
+    Each conjugate D_k (g -> 2cos(k pi/L)) gets a certified sign, P
+    doubling as in `sign`, and its root rounded from the enclosure.  The
+    Vandermonde matrix of the conjugates, from the same power tables, is
+    inverted once in exact fractions; each sign choice for the roots then
+    gives the coefficients of a candidate by one matrix-vector product,
+    rounded to small denominators and verified exactly."""
+    L, d, ks = ctx.L, ctx.degree, ctx.conjugate_indices()
+    roots = []
+    for k in ks:
+        for lo, hi, scale in _enclosures(D, k):
+            if hi < 0:
+                return None  # not totally positive, cannot be a square
+            if lo > 0:
+                break
+        # sqrt(S / scale) for the midpoint S = (lo + hi) / 2
+        roots.append(Fraction(isqrt((lo + hi) * scale >> 1), scale))
+    # Gauss-Jordan on [V | diag(roots)], V[i][j] = g_i^j, leaves
+    # V^-1 diag(roots); no pivoting, as the leading minors of V are
+    # Vandermonde determinants of distinct conjugates
+    one = 1 << _FIXED_PREC
+    rows = [[Fraction(t, one) for t in _power_table(L, _FIXED_PREC, k)]
+            + [rt if j == i else 0 for j in range(d)]
+            for i, (k, rt) in enumerate(zip(ks, roots))]
+    for c in range(d):
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    den = lcm(*(v.denominator for row in rows for v in row[d:]))
+    W = [[v.numerator * (den // v.denominator) for v in row[d:]]
+         for row in rows]
+    for bits in range(1 << (d - 1)):
+        signs = [1] + [1 if bits >> i & 1 else -1 for i in range(d - 1)]
+        coeffs = [Fraction(sum(map(operator.mul, row, signs)), den)
+                  .limit_denominator(_SQUARE_DETECT_MAX_DEN) for row in W]
+        dd = lcm(*(f.denominator for f in coeffs))
+        cand = AlgebraicNumber._make(ctx, [int(f * dd) for f in coeffs], dd)
+        if cand * cand == D:
+            return cand if cand.sign() > 0 else -cand
     return None
 
 
@@ -708,7 +706,5 @@ def from_json_dict(d: dict) -> AlgebraicNumber:
 def _frac_list_to_vec(pairs, degree):
     fr = [Fraction(p, q) for p, q in pairs]
     fr += [Fraction(0)] * (degree - len(fr))
-    dd = 1
-    for f in fr:
-        dd = dd * f.denominator // gcd(dd, f.denominator)
+    dd = lcm(*(f.denominator for f in fr))
     return tuple(int(f * dd) for f in fr), dd

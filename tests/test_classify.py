@@ -63,6 +63,30 @@ def test_classify_geometry_no_tiling_verdict_not_exception():
     assert gc.exists is False and "no such tiling" in gc.note
 
 
+def test_classify_geometry_wrong_genus_fails_the_euler_count():
+    # a spherical type has V > 0 only at genus 0 and a hyperbolic one only
+    # at genus >= 2, so the Euler count rejects every other genus
+    from tilinglinks.coxeter import geometry_of
+    grid = [(m, n, g) for m in range(3, 13) for n in range(3, 13)
+            for g in ((1, 2, 3, 5) if geometry_of(m, n) == "Spherical"
+                      else (0, 1) if geometry_of(m, n) == "Hyperbolic"
+                      else ())]
+    assert len(grid) == 4 * 5 + 2 * 92
+    for m, n, g in grid:
+        gc = classify_geometry(m, n, g)
+        assert gc.exists is False and gc.vertex_count is None, (m, n, g)
+        assert gc.note.startswith("no such tiling: Euler count V = ")
+        assert gc.note.endswith(" is not a positive integer"), (m, n, g)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["classify", str(m), str(n), "--genus", str(g),
+                         "--format", "json"])
+        assert code == 0
+        assert json.loads(out.getvalue()) == {
+            "m": m, "n": n, "geometry": gc.tiling.geometry, "exists": False,
+            "vertex_count": None, "note": gc.note}
+
+
 def test_valid_types():
     vt = valid_types(6)
     assert (5, 3) in vt and (4, 4) in vt and (6, 6) in vt

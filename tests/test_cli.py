@@ -303,9 +303,10 @@ def test_numpy_loaded_only_for_float_geometry():
                                                                 [0, True]]
 
 
-def test_mpmath_loaded_only_for_square_detection():
-    # (10,6) has a totally positive D of degree 4, so its sqrt(D) goes
-    # through the square detection and its conjugate embeddings
+def test_no_command_loads_mpmath():
+    # the square detection of sqrt(D) runs on the integer evaluator too:
+    # it finds (10,6)'s D to be a square in K0 (degree 8) and leaves
+    # sqrt(D) an extension for (5,4) (degree 8) and (5,10) (degree 4)
     argvs = [["gram", "44", "47", "--format", "json"],
              ["tracefield", "6", "4", "--format", "json"],
              ["arithmetic", "22", "43", "--format", "json"],
@@ -313,8 +314,10 @@ def test_mpmath_loaded_only_for_square_detection():
              ["commensurable", "3", "3", "6", "6"],
              ["sweep", "--format", "json"],
              ["report", "--bound", "12", "--format", "json"],
-             ["tracefield", "10", "6", "--format", "json"]]
-    assert _probe_imports("mpmath", argvs) == [[0, False]] * 7 + [[0, True]]
+             ["tracefield", "10", "6", "--format", "json"],
+             ["gram", "5", "4"],
+             ["geometry-verify", "--m", "5", "--n", "10"]]
+    assert _probe_imports("mpmath", argvs) == [[0, False]] * 10
 
 
 def test_package_exports_resolve():

@@ -63,12 +63,17 @@ def test_generator_embedding_is_root():
 @pytest.mark.parametrize("L,prec", [(1, 64), (2, 160), (5, 64), (12, 320),
                                     (91, 1280), (2068, 160), (2068, 640)])
 def test_principal_value_is_first_conjugate(L, prec):
-    # the integer principal value that `approx`/`sign` use is the first of
-    # the conjugates the square detection evaluates
+    # the principal value that `approx`/`sign` use is the first of the
+    # conjugates 2cos(k pi/L) the square detection evaluates, and each of
+    # them is within one unit of mpmath's
     import mpmath
+    ks = make_context(L).conjugate_indices()
+    assert ks[0] == 1
+    assert fields._two_cos_pi_over(L, prec) == fields._two_cos_pi_over(L, prec, 1)
     with mpmath.workprec(prec + 20):
-        scaled = mpmath.ldexp(fields._generator_values(L, prec)[0], prec)
-        assert abs(fields._two_cos_pi_over(L, prec) - scaled) <= 1
+        for k in ks:
+            scaled = mpmath.ldexp(2 * mpmath.cos(mpmath.pi * k / L), prec)
+            assert abs(fields._two_cos_pi_over(L, prec, k) - scaled) <= 1, k
 
 
 def _power_table_q(L, P):
@@ -78,27 +83,34 @@ def _power_table_q(L, P):
     return P + d + d.bit_length() + 8
 
 
-def _assert_two_cos_within_one(Ls, P):
-    """|G - 2cos(pi/L) 2^q| <= 1 at the table's q, against mpmath at
-    q + 200 bits; rounding to nearest leaves G within 1/2 + 2^-24."""
+def _assert_two_cos_within_one(Lks, P):
+    """|G - 2cos(k pi/L) 2^q| <= 1 at the table's q for each (L, k),
+    against mpmath at q + 200 bits; rounding to nearest leaves G within
+    1/2 + 2^-24."""
     import mpmath
-    for L in Ls:
+    for L, k in Lks:
         q = _power_table_q(L, P)
         with mpmath.workprec(q + 200):
-            err = abs(fields._two_cos_pi_over(L, q)
-                      - mpmath.ldexp(2 * mpmath.cos(mpmath.pi / L), q))
-            assert err <= 0.5 + mpmath.mpf(2) ** -24, (L, P)
+            err = abs(fields._two_cos_pi_over(L, q, k)
+                      - mpmath.ldexp(2 * mpmath.cos(mpmath.pi * k / L), q))
+            assert err <= 0.5 + mpmath.mpf(2) ** -24, (L, k, P)
 
 
 @pytest.mark.parametrize("P", [128, 256, 1024])
 def test_two_cos_pi_over_matches_mpmath(P):
     from math import lcm
     Ls = sorted({lcm(m, n) for m in range(3, 51) for n in range(3, 51)})
-    _assert_two_cos_within_one(Ls, P)
+    # and the conjugates k > 1 of every field the square detection reaches
+    small = [make_context(L) for L in range(3, 61)]
+    conjugates = [(c.L, k) for c in small
+                  if c.degree <= fields._SQUARE_DETECT_MAX_DEGREE
+                  for k in c.conjugate_indices()[1:]]
+    assert len(conjugates) == 78
+    _assert_two_cos_within_one([(L, 1) for L in Ls] + conjugates, P)
 
 
 def test_two_cos_pi_over_matches_mpmath_at_the_cap():
-    _assert_two_cos_within_one((3, 12, 2068), fields._MAX_PREC)
+    _assert_two_cos_within_one(((3, 1), (12, 1), (2068, 1)), fields._MAX_PREC)
 
 
 @pytest.mark.parametrize("L", [60, 91, 1073])
@@ -295,6 +307,45 @@ def test_sqrt_detects_field_square():
     el = (g + 1) * (g + 1)
     r = adjoin_sqrt(ctx, el)
     assert r.ext_num is None and r == g + 1
+
+
+@pytest.mark.parametrize("L,coeffs", [
+    (5, (Fraction(-3, 2), 1)),
+    (7, (Fraction(1, 3), Fraction(-5, 4), 1)),
+    (9, (2, 0, Fraction(-7, 5))),
+    (15, (Fraction(5, 6), -1, 0, Fraction(1, 2))),
+    (20, (-1, Fraction(2, 3), Fraction(1, 7), 0, -1)),
+    (21, (Fraction(9, 2), 1, Fraction(-1, 3), 0, 0, Fraction(1, 8))),
+    (24, (0, -3, 0, Fraction(1, 11), 0, 0, Fraction(-2, 9))),
+    (30, (7, Fraction(1, 2), -2, 0, 0, 1, 0, Fraction(-1, 5))),
+])
+def test_sqrt_detects_field_square_of_mixed_element(L, coeffs):
+    ctx = make_context(L)
+    g = AlgebraicNumber.generator(ctx)
+    x = AlgebraicNumber.rational(ctx, 0)
+    for i, c in enumerate(coeffs):
+        x = x + c * g ** i
+    assert is_rational(x * x) is None
+    r = adjoin_sqrt(ctx, x * x)
+    assert r.ext_num is None and r.sign() > 0
+    assert r == (x if x.sign() > 0 else -x)
+
+
+@pytest.mark.parametrize("m,n,square", [(10, 6, True), (5, 4, False)])
+def test_sqrt_of_discriminant(m, n, square):
+    # D = cos^2(pi/m) + cos^2(pi/n) - 1 in Q(2cos(pi/lcm)), degree 8 for
+    # both: (10,6)'s is a square there, (5,4)'s has a negative conjugate
+    from math import lcm
+    ctx = make_context(lcm(m, n))
+    cm, cn = embed_cos(ctx, m) / 2, embed_cos(ctx, n) / 2
+    D = cm * cm + cn * cn - 1
+    assert ctx.degree == 8 and is_rational(D) is None
+    r = adjoin_sqrt(ctx, D)
+    assert (r.ext_num is None) == square
+    assert r * r == D and r.sign() > 0
+    if square:
+        g = AlgebraicNumber.generator(ctx)
+        assert r == (-2 + 9 * g ** 2 - 6 * g ** 4 + g ** 6) / 2
 
 
 @given(st.data())
