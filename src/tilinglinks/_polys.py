@@ -1,10 +1,11 @@
 """Integer polynomial utilities for the real cyclotomic substrate.
 
 Polynomials are lists/tuples of ints, low degree first.  Everything here is
-exact integer arithmetic; callers layer rational normalization on top.
+exact integer arithmetic; callers layer rational normalization on top.  The
+cyclotomic polynomial is the Moebius product of the x^d - 1, built in linear
+passes; one trial-division `prime_factors` serves it and Euler's phi.
 """
 
-from functools import lru_cache
 from math import gcd
 
 
@@ -26,58 +27,50 @@ def mul(a, b):
     return out
 
 
-def divexact(a, b):
-    """Exact division of integer polynomials; b must divide a over Z."""
-    a = list(a)
-    b = trim(b)
-    q = [0] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    for k in range(len(q) - 1, -1, -1):
-        c = a[k + len(b) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("inexact polynomial division")
-        q[k] = c // lead
-        if q[k]:
-            for j, bj in enumerate(b):
-                a[k + j] -= q[k] * bj
-    if any(a):
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
-def _radical(n):
-    r, d = 1, 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            r *= d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        r *= m
-    return r
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(n):
-    """Coefficients of the n-th cyclotomic polynomial (low degree first)."""
-    if n == 1:
-        return (-1, 1)
-    rad = _radical(n)
-    if rad != n:
-        # Phi_n(x) = Phi_rad(x^(n/rad))
-        inner = cyclotomic(rad)
-        step = n // rad
-        out = [0] * ((len(inner) - 1) * step + 1)
-        for i, c in enumerate(inner):
-            out[i * step] = c
-        return tuple(out)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
+def prime_factors(n):
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
         if n % d == 0:
-            poly = divexact(poly, cyclotomic(d))
-    return tuple(poly)
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def cyclotomic(n):
+    """Coefficients of the n-th cyclotomic polynomial (low degree first).
+
+    Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n, and Phi_r is the
+    Moebius product prod_{d | r} (x^d - 1)^mu(r/d) (Washington,
+    *Introduction to Cyclotomic Fields*, ch. 2): one linear pass per
+    squarefree divisor d, multiplying by x^d - 1 when mu(r/d) = +1, then
+    dividing exactly by it, q_i = q_(i-d) - a_i, when mu(r/d) = -1.
+    """
+    primes = prime_factors(n)
+    divisors = [(1, 1)]  # (d, mu(d)); mu(r/d) = mu(r) mu(d) for squarefree r
+    for p in primes:
+        divisors += [(d * p, -mu) for d, mu in divisors]
+    mu_r = (-1) ** len(primes)
+    poly = [1]
+    for d, mu in divisors:
+        if mu == mu_r:
+            out = [-c for c in poly] + [0] * d
+            for i, c in enumerate(poly):
+                out[i + d] += c
+            poly = out
+    for d, mu in divisors:
+        if mu != mu_r:
+            poly = [-c for c in poly[:len(poly) - d]]
+            for i in range(d, len(poly)):
+                poly[i] += poly[i - d]
+    step = n // divisors[-1][0]
+    out = [0] * ((len(poly) - 1) * step + 1)
+    out[::step] = poly
+    return tuple(out)
 
 
 def fold_palindromic(coeffs):

@@ -233,24 +233,16 @@ def solve_ultraparallel_by_minor(m: int, n: int):
     if geometry_of(m, n) != "Hyperbolic":
         raise GeometryError(f"({m},{n}) is not a hyperbolic tiling type")
     ctx, cm, cn, D, _, Cmn, Cnm = _hyperbolic_cosh_data(m, n)
-    zero = AlgebraicNumber.rational(ctx, 0)
-    two = AlgebraicNumber.rational(ctx, 2)
-    mtwo = AlgebraicNumber.rational(ctx, -2)
+    gram = build_hyperbolic_presentation(m, n).gram
 
     def minor_rows(keep, x_val):
-        # full 6x6 gram with the surviving ultraparallel entry set to
-        # -2*x_val; the other one sits in the removed row/column
-        a12, a13 = -2 * cm, -2 * cn
-        full = [[two, a12, a13, zero, zero, zero],
-                [a12, two, zero, mtwo, zero, zero],
-                [a13, zero, two, zero, mtwo, zero],
-                [zero, mtwo, zero, two, zero, zero],
-                [zero, zero, mtwo, zero, two, zero],
-                [zero, zero, zero, zero, zero, two]]
+        # the Gram minor with the surviving ultraparallel entry, (4,6) or
+        # (5,6), set to -2*x_val; the other one sits in the removed
+        # row/column
         i = 3 if 3 in keep else 4
-        v = -2 * x_val
-        full[i][5] = full[5][i] = v
-        return [[full[r][c] for c in keep] for r in keep]
+        rows = [list(r) for r in gram]
+        rows[i][5] = rows[5][i] = -2 * x_val
+        return [[rows[r][c] for c in keep] for r in keep]
 
     for keep, cosval in (((0, 1, 2, 3, 5), cm), ((0, 1, 2, 4, 5), cn)):
         dets = {}

@@ -27,28 +27,20 @@ from functools import cached_property, lru_cache
 from math import gcd, inf, isqrt, lcm
 from typing import Optional
 
-from ._polys import content, cyclotomic, fold_palindromic, mul, trim
+from ._polys import (content, cyclotomic, fold_palindromic, mul,
+                     prime_factors, trim)
 from .errors import DomainError, VerificationError
 
 _FIXED_PREC = 128  # first P of the fixed-point enclosure
 _MAX_PREC = 1 << 14  # 16x the largest P certified values were seen to need
 _SQUARE_DETECT_MAX_DEGREE = 8
-_SQUARE_DETECT_MAX_DEN = 10**6
 
 
 def _totient(n):
-    out, m, d = 1, n, 2
-    while d * d <= m:
-        if m % d == 0:
-            out *= d - 1
-            m //= d
-            while m % d == 0:
-                out *= d
-                m //= d
-        d += 1
-    if m > 1:
-        out *= m - 1
-    return out
+    """Euler's phi(n) = n prod(1 - 1/p) over the primes p dividing n."""
+    for p in prime_factors(n):
+        n = n // p * (p - 1)
+    return n
 
 
 @dataclass(frozen=True)
@@ -594,7 +586,11 @@ def _detect_square(ctx, D):
     Vandermonde matrix of the conjugates, from the same power tables, is
     inverted once in exact fractions; each sign choice for the roots then
     gives the coefficients of a candidate by one matrix-vector product,
-    rounded to small denominators and verified exactly."""
+    rounded to integers over D.den and verified exactly.  That rounding
+    loses no square: (D.den sqrt(D))^2 = D.den * (D.den D) is an algebraic
+    integer, and Z[g] is the ring of integers of K0 (Washington,
+    *Introduction to Cyclotomic Fields*, Prop. 2.16), so D.den sqrt(D)
+    has integer coefficients on the power basis."""
     L, d, ks = ctx.L, ctx.degree, ctx.conjugate_indices()
     roots = []
     for k in ks:
@@ -623,10 +619,10 @@ def _detect_square(ctx, D):
          for row in rows]
     for bits in range(1 << (d - 1)):
         signs = [1] + [1 if bits >> i & 1 else -1 for i in range(d - 1)]
-        coeffs = [Fraction(sum(map(operator.mul, row, signs)), den)
-                  .limit_denominator(_SQUARE_DETECT_MAX_DEN) for row in W]
-        dd = lcm(*(f.denominator for f in coeffs))
-        cand = AlgebraicNumber._make(ctx, [int(f * dd) for f in coeffs], dd)
+        # each coefficient S / den rounded to the nearest multiple of 1/D.den
+        cand = AlgebraicNumber._make(
+            ctx, [(2 * D.den * sum(map(operator.mul, row, signs)) + den)
+                  // (2 * den) for row in W], D.den)
         if cand * cand == D:
             return cand if cand.sign() > 0 else -cand
     return None

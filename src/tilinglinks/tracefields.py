@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 from .coxeter import (CoxeterPresentation, diagram_adjacency,
@@ -90,7 +89,7 @@ def _tree_paths(p, rng=None):
 
 def build_worksheet(p: CoxeterPresentation, strategy: str = "bfs",
                     seed: int = 0) -> TraceFieldWorksheet:
-    """Path coefficients, spanning basis, and the 4x4 inner-product matrix.
+    """Path coefficients, the basis F1..F4, and the 4x4 inner-product matrix.
 
     strategy "bfs" uses breadth-first paths with lowest-index tie-breaking;
     "random" draws a random spanning tree (seeded), which exercises the
@@ -110,29 +109,21 @@ def build_worksheet(p: CoxeterPresentation, strategy: str = "bfs",
                 c = c * p.gram[a][b]
         coeffs.append(c)
 
-    def submatrix_nonsingular(idx):
-        sub = [[p.gram[i][j] for j in idx] for i in idx]
-        return not exact_det(sub).is_zero
-
-    basis = None
-    if p.size >= 4 and submatrix_nonsingular((0, 1, 2, 3)):
-        basis = (0, 1, 2, 3)
-    else:
-        for idx in combinations(range(p.size), 4):
-            if submatrix_nonsingular(idx):
-                basis = idx
-                break
-    if basis is None:
-        raise VerificationError("no nonsingular 4x4 Gram submatrix found")
-
-    gp = tuple(tuple(coeffs[i] * coeffs[j] * p.gram[i][j] for j in basis)
-               for i in basis)
+    # basis F1..F4: with a = 2cos(pi/m) and b = 2cos(pi/n), that block of
+    # the Gram matrix is [[2, -a, -b, 0], [-a, 2, 0, -2], [-b, 0, 2, 0],
+    # [0, -2, 0, 2]] in both families; adding row 4 to row 2 leaves
+    # (-a, 0, 0, 0) there, and the expansion along it gives
+    # det = -4a^2 = -16cos^2(pi/m) != 0.  det G' is that times the squares
+    # of the c_r, each a product of nonzero entries, so only a hand-built
+    # Gram can make it vanish
+    gp = tuple(tuple(coeffs[i] * coeffs[j] * p.gram[i][j] for j in range(4))
+               for i in range(4))
     det = exact_det(gp)
     if det.is_zero:
         raise VerificationError("worksheet matrix is singular")
     return TraceFieldWorksheet(
         p, tuple(tuple(x + 1 for x in path) for path in paths),
-        tuple(coeffs), tuple(b + 1 for b in basis), gp, det)
+        tuple(coeffs), (1, 2, 3, 4), gp, det)
 
 
 def squarefree_part(value: Fraction) -> tuple[Fraction, int]:

@@ -11,6 +11,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from tilinglinks import fields
+from tilinglinks._polys import cyclotomic
 from tilinglinks.errors import DomainError, VerificationError
 from tilinglinks.fields import (AlgebraicNumber, adjoin_sqrt, as_json_dict,
                                 embed_cos, from_json_dict,
@@ -49,6 +50,17 @@ def test_modulus_matches_sympy_minimal_polynomial(L):
     ctx = make_context(L)
     expected = sympy_minpoly_coeffs(2 * sp.cos(sp.pi / L))
     assert tuple(Fraction(c) for c in ctx.modulus) == expected
+
+
+@pytest.mark.parametrize("n", list(range(1, 200))
+                         + [2310, 2730, 3010, 4042, 4900])
+def test_cyclotomic_matches_sympy(n):
+    # every n below 200 (prime powers, and radicals with up to three primes
+    # and either sign of mu(n)), radicals with four and five primes
+    # (2310, 2730), and non-squarefree n of large degree
+    x = sp.Symbol("x")
+    want = sp.Poly(sp.cyclotomic_poly(n, x), x).all_coeffs()
+    assert cyclotomic(n) == tuple(int(c) for c in reversed(want))
 
 
 def test_generator_embedding_is_root():
@@ -346,6 +358,18 @@ def test_sqrt_of_discriminant(m, n, square):
     if square:
         g = AlgebraicNumber.generator(ctx)
         assert r == (-2 + 9 * g ** 2 - 6 * g ** 4 + g ** 6) / 2
+
+
+@pytest.mark.parametrize("L", [20, 24, 30])
+def test_sqrt_of_totally_positive_non_square(L):
+    # 3 + g > 1 at every conjugate, so all 128 sign patterns of the degree-8
+    # square detection are tried and none verifies
+    ctx = make_context(L)
+    D = 3 + AlgebraicNumber.generator(ctx)
+    assert ctx.degree == 8
+    r = adjoin_sqrt(ctx, D)
+    assert r.ext_num is not None and r.radicand == D
+    assert r * r == D and r.sign() > 0
 
 
 @given(st.data())

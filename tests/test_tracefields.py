@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from tilinglinks.coxeter import (build_hyperbolic_presentation, exact_det)
+from tilinglinks.coxeter import (SPHERICAL_TYPES, build_hyperbolic_presentation,
+                                 build_spherical_presentation, exact_det,
+                                 geometry_of)
 from tilinglinks.errors import DomainError
-from tilinglinks.fields import AlgebraicNumber, is_rational, make_context
+from tilinglinks.fields import (AlgebraicNumber, embed_cos, is_rational,
+                                make_context)
 from tilinglinks.tracefields import (build_worksheet, field_label,
                                      invariant_trace_field, squarefree_part,
                                      trace_field_json_dict)
@@ -48,6 +51,27 @@ def test_worksheet_structure_invariants():
             for j in range(4):
                 assert w.gprime[i][j] == w.gprime[j][i]
         assert w.det.sign() < 0  # signature (3,1) on a spanning set
+
+
+def test_worksheet_basis_block():
+    # the fixed basis F1..F4: its Gram block has determinant
+    # -16cos^2(pi/m) in both families, and det G' is that block's
+    # determinant times the squares of the basis faces' path coefficients
+    ps = [build_spherical_presentation(m, n) for m, n in SPHERICAL_TYPES]
+    ps += [build_hyperbolic_presentation(m, n)
+           for m in range(3, 13) for n in range(3, 13)
+           if geometry_of(m, n) == "Hyperbolic"]
+    assert len(ps) == 3 + 92
+    for p in ps:
+        block = [row[:4] for row in p.gram[:4]]
+        a = embed_cos(p.ctx, p.m)
+        assert exact_det(block) == -4 * a * a, (p.m, p.n)
+        w = build_worksheet(p)
+        assert w.basis == (1, 2, 3, 4)
+        scale = AlgebraicNumber.rational(p.ctx, 1)
+        for b in w.basis:
+            scale = scale * w.coeffs[b - 1] * w.coeffs[b - 1]
+        assert w.det == exact_det(block) * scale, (p.m, p.n)
 
 
 def test_diagonal_determinant_trivial_case():
