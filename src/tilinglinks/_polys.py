@@ -4,6 +4,8 @@ Polynomials are lists/tuples of ints, low degree first.  Everything here is
 exact integer arithmetic; callers layer rational normalization on top.  The
 cyclotomic polynomial is the Moebius product of the x^d - 1, built in linear
 passes; one trial-division `prime_factors` serves it and Euler's phi.
+One Clenshaw routine writes Dickson series on the power basis: the folded
+modulus and every 2cos(pi/k) = D_(L/k)(2cos(pi/L)).
 """
 
 from math import gcd
@@ -73,29 +75,34 @@ def cyclotomic(n):
     return tuple(out)
 
 
+def dickson_to_power(s):
+    """Power-basis coefficients of s_0 + sum_(t>=1) s_t D_t(x), D_t the
+    Dickson polynomial D_t(z + 1/z) = z^t + z^-t, by Clenshaw's recurrence
+    (*Math. Comp.* 9, 1955): y_t = s_t + x y_(t+1) - y_(t+2), then
+    s_0 + x y_1 - 2 y_2.  Additions only."""
+    y1, y2 = [], []  # y_(t+1), y_(t+2)
+    for c in reversed(s[1:]):
+        y = [c] + y1
+        for i, b in enumerate(y2):
+            y[i] -= b
+        y1, y2 = y, y1
+    out = [s[0]] + y1
+    for i, b in enumerate(y2):
+        out[i] -= 2 * b
+    return out
+
+
 def fold_palindromic(coeffs):
     """Write a palindromic even-degree p(z) as z^k * q(z + 1/z); return q.
 
-    Used to turn the cyclotomic polynomial of 2L into the minimal polynomial
-    of 2cos(pi/L).
+    z^-k p(z) is the Dickson series of p's upper half.  Used to turn the
+    cyclotomic polynomial of 2L into the minimal polynomial of 2cos(pi/L).
     """
     coeffs = trim(coeffs)
     deg = len(coeffs) - 1
     if deg % 2 != 0 or coeffs != coeffs[::-1]:
         raise ValueError("polynomial is not palindromic of even degree")
-    k = deg // 2
-    s = [coeffs[k + t] for t in range(k + 1)]
-    q = [0] * (k + 1)
-    for j in range(k, -1, -1):
-        qj = q[j] = s[j]
-        if not qj:
-            continue
-        # (z + 1/z)^j = sum_i comb(j, i) z^(j - 2i); c runs through comb(j, i)
-        c = 1
-        for i, t in enumerate(range(j - 2, -1, -2)):
-            c = c * (j - i) // (i + 1)
-            s[t] -= qj * c
-    return tuple(q)
+    return tuple(dickson_to_power(coeffs[deg // 2:]))
 
 
 def content(vec):

@@ -27,8 +27,8 @@ from functools import cached_property, lru_cache
 from math import gcd, inf, isqrt, lcm
 from typing import Optional
 
-from ._polys import (content, cyclotomic, fold_palindromic, mul,
-                     prime_factors, trim)
+from ._polys import (content, cyclotomic, dickson_to_power, fold_palindromic,
+                     mul, prime_factors, trim)
 from .errors import DomainError, VerificationError
 
 _FIXED_PREC = 128  # first P of the fixed-point enclosure
@@ -73,10 +73,8 @@ def make_context(L: int) -> FieldContext:
     """Field context for Q(2cos(pi/L)); degree 1 (plain Q) for L in {1, 2}."""
     if not isinstance(L, int) or L < 1:
         raise DomainError(f"L must be a positive integer, got {L!r}")
-    if L == 1:
+    if L == 1:  # Phi_2 = z + 1 has odd degree
         modulus = (2, 1)  # x + 2, generator -2
-    elif L == 2:
-        modulus = (0, 1)  # x, generator 0
     else:
         modulus = fold_palindromic(cyclotomic(2 * L))
         expected = _totient(2 * L) // 2
@@ -525,19 +523,12 @@ def _pseudo_divmod(a, b):
 # -- spec-level operations --------------------------------------------------
 
 def embed_cos(ctx: FieldContext, k: int) -> AlgebraicNumber:
-    """The exact element 2cos(pi/k) for k | L, via the Chebyshev-type
-    recurrence t0 = 2, t1 = g, t_{j+1} = g*t_j - t_{j-1} at j = L/k."""
+    """The exact element 2cos(pi/k) for k | L: the Dickson polynomial
+    D_(L/k) at the generator, reduced mod the modulus."""
     if k < 1 or ctx.L % k != 0:
         raise DomainError(f"k={k} does not divide L={ctx.L}")
-    j = ctx.L // k
-    two = AlgebraicNumber.rational(ctx, 2)
-    if j == 0:
-        return two
-    g = AlgebraicNumber.generator(ctx)
-    t_prev, t_cur = two, g
-    for _ in range(j - 1):
-        t_prev, t_cur = t_cur, g * t_cur - t_prev
-    return t_cur
+    num = _reduce_mod(dickson_to_power([0] * (ctx.L // k) + [1]), ctx)
+    return AlgebraicNumber(ctx, num, 1)
 
 
 def is_rational(x: AlgebraicNumber) -> Optional[Fraction]:

@@ -2,6 +2,7 @@
 and seeded reproducibility."""
 
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -231,13 +232,78 @@ def test_failing_command_leaves_out_file_unchanged(tmp_path, capsys):
 def test_gram_json_output_guard_22_43():
     """The canonical JSON of a degree-420 presentation, pinned by hash: exact
     entries, their certified floats and the gram_approx table."""
-    import hashlib
     from tilinglinks.coxeter import (build_hyperbolic_presentation,
                                      presentation_json_dict)
     p = build_hyperbolic_presentation(22, 43)
     text = cli._dump(presentation_json_dict(p))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "d2b1cac7e0b52e5b119752cbfb3b4e76d22e790ce8e83ccc321f0bb0a92e22af")
+
+
+# sha256 of the canonical `--format json` stdout for types of field degree
+# 2 to 920: a change to the field layer must leave every byte as it is
+_GOLDEN_JSON = [
+    (("gram", "6", "4"),
+     "d563bf36afb7e1fd36c7d14c1480241049d8da54cb39483a24044c86b17737b8"),
+    (("tracefield", "6", "4"),
+     "502597baa30cd020ce59af11aa620bb269e73ef5444c87de3883be1af8412745"),
+    (("arithmetic", "6", "4"),
+     "06cfaed0ab0efa5f9601eb3ec2f5e65c9af69d021bcc8f723da57b560ac6fcc8"),
+    (("gram", "6", "6"),
+     "60a96e5e57d17c67cc6a2df4b7a8a2acdd964449d41da243cf7d7c73944d9780"),
+    (("tracefield", "6", "6"),
+     "b40c0985a01ac8bdaf8da295a3dc0ce01cdf5afc59e5129e5d513d5a31696570"),
+    (("arithmetic", "6", "6"),
+     "5e2f1dad44b04eb945a70dda5ec5a086345f7aef76cdf814cdb699dcfd4864dd"),
+    (("gram", "10", "6"),
+     "b7bd5bf2029dd1fa27e39589e186a0a974191602f58d99f1a0d1c88266e135de"),
+    (("tracefield", "10", "6"),
+     "9c820d990e58879123702af9baa05c5142819399453da51a514cb792a06943a0"),
+    (("arithmetic", "10", "6"),
+     "6d8f489f44b22a93f2cc6b614e5ba0d374608b67cfb62c563294daf388fe46dd"),
+    (("gram", "5", "4"),
+     "69fefd005f4d2fa79326e667ca2ed12f7a71e9d034becc83ed0e854047c8e383"),
+    (("tracefield", "5", "4"),
+     "46e6de8c4c456e2ff49ad353337cbaf7be12a51dcd4cb5463292767ec8345bef"),
+    (("arithmetic", "5", "4"),
+     "3da9432d54b928e6e65167b95deec395464cc434658f47ddb8ce2ade14b9bc0c"),
+    (("gram", "7", "3"),
+     "c1723ca68f4caa9009dfa042133fbb09000ee34fa9bb86b7179eb3f69644d150"),
+    (("tracefield", "7", "3"),
+     "9e00f68dc5febc62b13b5c166f8b0c3f39a22f21f3335a5d49a731ad1a250349"),
+    (("arithmetic", "7", "3"),
+     "ba75567da58f1c26ace3685183fcf9fc741583a948c8c27e325068a4c8bede73"),
+    (("gram", "37", "29"),
+     "7691b6a587bc625d9b5aaa662fbd7e4c34014cbc1103feaacccf31cbe6dbc847"),
+    (("tracefield", "37", "29"),
+     "235330d7c9198876618988488c36e4e7344a9e2093a41b40740f7e5297697bd7"),
+    (("arithmetic", "37", "29"),
+     "f27b1eb2ad657dd397823095cbb0b8b54090f16976237c7ce0c8889dca090437"),
+    (("gram", "22", "43"),
+     "8550e5b2235dbb5ad2b7b2316c5e24f4e7484d4ea45557ae84534574f6a08392"),
+    (("tracefield", "22", "43"),
+     "16348383d89d69d7b95fd2f0f5a650154411af0807487135f78d6f8dfd4d0040"),
+    (("arithmetic", "22", "43"),
+     "9de86b7407250debf400ba72453eb20bb6643f6bef80e5a3da66d2a57fcc8366"),
+    (("gram", "44", "47"),
+     "7a5a0687a65c15029b58c97602c91670277949d5db01d841d2a3baa24079322b"),
+    (("tracefield", "44", "47"),
+     "b7cd55bbb2344cafe1de369c52b162e7035e957d65b35c581970de1118b425c4"),
+    (("arithmetic", "44", "47"),
+     "86e3508cf63308f7aef4355fc6c5e0002d59e513735c869470507471f899959d"),
+    (("gram", "5", "3", "--spherical"),
+     "7b2882515494c15baccfea65c94dcfcc30dfa178827d6d94227c11fcfd76f47e"),
+    (("arithmetic", "5", "3", "--spherical"),
+     "b2051abb24c5512a188646b1e7880c2d21219f8eef6a6c84741690ff7d1b595b"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _GOLDEN_JSON,
+                         ids=[" ".join(a) for a, _ in _GOLDEN_JSON])
+def test_canonical_json_golden(argv, digest):
+    code, out = run_cli(*argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_stray_arithmetic_error_exit_3(monkeypatch):

@@ -4,14 +4,14 @@ tests of the ring axioms."""
 import functools
 import sys
 from fractions import Fraction
-from math import cos, pi
+from math import cos, lcm, pi
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from tilinglinks import fields
-from tilinglinks._polys import cyclotomic
+from tilinglinks._polys import cyclotomic, dickson_to_power
 from tilinglinks.errors import DomainError, VerificationError
 from tilinglinks.fields import (AlgebraicNumber, adjoin_sqrt, as_json_dict,
                                 embed_cos, from_json_dict,
@@ -110,7 +110,6 @@ def _assert_two_cos_within_one(Lks, P):
 
 @pytest.mark.parametrize("P", [128, 256, 1024])
 def test_two_cos_pi_over_matches_mpmath(P):
-    from math import lcm
     Ls = sorted({lcm(m, n) for m in range(3, 51) for n in range(3, 51)})
     # and the conjugates k > 1 of every field the square detection reaches
     small = [make_context(L) for L in range(3, 61)]
@@ -167,6 +166,57 @@ def test_embed_cos_values():
 def test_embed_cos_requires_divisor():
     with pytest.raises(DomainError):
         embed_cos(make_context(12), 5)
+
+
+def _embed_cos_recurrence(ctx, k):
+    """The exact element 2cos(pi/k) for k | L, via the Chebyshev-type
+    recurrence t0 = 2, t1 = g, t_{j+1} = g*t_j - t_{j-1} at j = L/k."""
+    if k < 1 or ctx.L % k != 0:
+        raise DomainError(f"k={k} does not divide L={ctx.L}")
+    j = ctx.L // k
+    two = AlgebraicNumber.rational(ctx, 2)
+    if j == 0:
+        return two
+    g = AlgebraicNumber.generator(ctx)
+    t_prev, t_cur = two, g
+    for _ in range(j - 1):
+        t_prev, t_cur = t_cur, g * t_cur - t_prev
+    return t_cur
+
+
+def test_embed_cos_matches_recurrence():
+    # every divisor of every L <= 200, and the Gram entries of three types
+    # of degree 920-966
+    pairs = [(L, k) for L in range(1, 201)
+             for k in range(1, L + 1) if L % k == 0]
+    pairs += [(lcm(m, n), k) for m, n in ((43, 46), (44, 47), (47, 50))
+              for k in (m, n)]
+    for L, k in pairs:
+        ctx = make_context(L)
+        assert embed_cos(ctx, k) == _embed_cos_recurrence(ctx, k), (L, k)
+
+
+def _sympy_dickson_series(s):
+    """s_0 + sum s_t D_t(x) with D_t(x) = 2 T_t(x/2), on the power basis."""
+    x = sp.Symbol("x")
+    expr = s[0] + sum(c * 2 * sp.chebyshevt(t, x / 2)
+                      for t, c in enumerate(s) if t and c)
+    want = [int(c) for c in reversed(sp.Poly(expr, x).all_coeffs())]
+    return want + [0] * (len(s) - len(want))
+
+
+def test_dickson_to_power_single_terms_match_sympy():
+    for t in range(41):
+        s = [0] * t + [1]
+        assert dickson_to_power(s) == _sympy_dickson_series(s), t
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dickson_to_power_dense_series_match_sympy(seed):
+    import random
+    rng = random.Random(seed)
+    s = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(2, 30))]
+    assert dickson_to_power(s) == _sympy_dickson_series(s)
 
 
 def test_golden_identity():
@@ -347,7 +397,6 @@ def test_sqrt_detects_field_square_of_mixed_element(L, coeffs):
 def test_sqrt_of_discriminant(m, n, square):
     # D = cos^2(pi/m) + cos^2(pi/n) - 1 in Q(2cos(pi/lcm)), degree 8 for
     # both: (10,6)'s is a square there, (5,4)'s has a negative conjugate
-    from math import lcm
     ctx = make_context(lcm(m, n))
     cm, cn = embed_cos(ctx, m) / 2, embed_cos(ctx, n) / 2
     D = cm * cm + cn * cn - 1
