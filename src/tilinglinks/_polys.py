@@ -8,8 +8,6 @@ One Clenshaw routine writes Dickson series on the power basis: the folded
 modulus and every 2cos(pi/k) = D_(L/k)(2cos(pi/L)).
 """
 
-from math import gcd
-
 
 def trim(c):
     c = list(c)
@@ -104,6 +102,3 @@ def fold_palindromic(coeffs):
         raise ValueError("polynomial is not palindromic of even degree")
     return tuple(dickson_to_power(coeffs[deg // 2:]))
 
-
-def content(vec):
-    return gcd(*vec)

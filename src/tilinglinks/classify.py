@@ -123,11 +123,9 @@ def arithmetic_status(m: int, n: int) -> LinkClass:
     if t == (5, 3):
         cert = check_arithmetic(build_spherical_presentation(5, 3))
         return LinkClass(tiling, cert.arithmetic, None, "computed")
-    d = _LOOKUP_FIELDS[t]
     cite = ("Hatcher" if geo == "Spherical"
             else "Champanerkar-Kofman-Purcell")
-    return LinkClass(tiling, True, FieldDescriptor("quadratic", d, field_label(d)),
-                     f"paper_lookup: {cite}")
+    return LinkClass(tiling, True, trace_field_table(*t), f"paper_lookup: {cite}")
 
 
 @lru_cache(maxsize=None)

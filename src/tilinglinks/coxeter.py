@@ -53,9 +53,6 @@ class TilingType:
     def of(m: int, n: int) -> "TilingType":
         return TilingType(m, n, geometry_of(m, n))
 
-    def unordered(self):
-        return (max(self.m, self.n), min(self.m, self.n))
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -86,7 +83,13 @@ class CoxeterPresentation:
         return np.array([[e.approx() for e in row] for row in self.gram])
 
 
-def _gram_from_edges(ctx, size, edges):
+def _presentation(m, n, family, ctx, extra=()):
+    """The presentation on the diagram both families share -- F1 meets F2
+    and F3 at angles pi/m and pi/n, F2-F4 and F3-F5 are ideal -- plus the
+    `extra` edges, with faces F1 up to the highest one an edge names."""
+    edges = (Edge(1, 2, "angle", order=m), Edge(1, 3, "angle", order=n),
+             Edge(2, 4, "ideal"), Edge(3, 5, "ideal")) + extra
+    size = max(e.j for e in edges)
     two = AlgebraicNumber.rational(ctx, 2)
     zero = AlgebraicNumber.rational(ctx, 0)
     g = [[two if i == j else zero for j in range(size)] for i in range(size)]
@@ -98,29 +101,25 @@ def _gram_from_edges(ctx, size, edges):
         else:
             val = -2 * e.cosh_dist
         g[e.i - 1][e.j - 1] = g[e.j - 1][e.i - 1] = val
-    return tuple(tuple(row) for row in g)
+    faces = tuple(f"F{i}" for i in range(1, size + 1))
+    return CoxeterPresentation(m, n, family, faces, edges,
+                               tuple(tuple(row) for row in g), ctx)
 
 
 @lru_cache(maxsize=None)
-def _discriminant(m, n):
-    """(ctx, cos(pi/m), cos(pi/n), D, D^-1) with
-    D = cos^2(pi/m) + cos^2(pi/n) - 1 > 0."""
+def _hyperbolic_cosh_data(m, n):
+    """(ctx, cos(pi/m), cos(pi/n), D, D^-1, sqrt(D), cosh l_46, cosh l_56):
+    D = cos^2(pi/m) + cos^2(pi/n) - 1 > 0, its positive root, and the pair
+    (cosh l_46, cosh l_56) = (cos(pi/m), cos(pi/n)) / sqrt(D)."""
     ctx = make_context(lcm(m, n))
     cm = embed_cos(ctx, m) / 2
     cn = embed_cos(ctx, n) / 2
     D = cm * cm + cn * cn - 1
     if D.sign() <= 0:
         raise GeometryError(f"({m},{n}) is not hyperbolic: discriminant <= 0")
-    return ctx, cm, cn, D, D.inverse()
-
-
-@lru_cache(maxsize=None)
-def _hyperbolic_cosh_data(m, n):
-    """D = cos^2(pi/m) + cos^2(pi/n) - 1, its positive root sqrt(D), and the
-    pair (cosh l_46, cosh l_56) = (cos(pi/m), cos(pi/n)) / sqrt(D)."""
-    ctx, cm, cn, D, Dinv = _discriminant(m, n)
+    Dinv = D.inverse()
     root = adjoin_sqrt(ctx, D)
-    return ctx, cm, cn, D, root, cm * root * Dinv, cn * root * Dinv
+    return ctx, cm, cn, D, Dinv, root, cm * root * Dinv, cn * root * Dinv
 
 
 @lru_cache(maxsize=None)
@@ -128,18 +127,10 @@ def build_hyperbolic_presentation(m: int, n: int) -> CoxeterPresentation:
     """Six-face presentation for the hyperbolic pattern [m,n,m,n]."""
     if geometry_of(m, n) != "Hyperbolic":
         raise GeometryError(f"({m},{n}) is not a hyperbolic tiling type")
-    ctx, _, _, _, _, Cmn, Cnm = _hyperbolic_cosh_data(m, n)
-    edges = (
-        Edge(1, 2, "angle", order=m),
-        Edge(1, 3, "angle", order=n),
-        Edge(2, 4, "ideal"),
-        Edge(3, 5, "ideal"),
+    ctx, *_, Cmn, Cnm = _hyperbolic_cosh_data(m, n)
+    return _presentation(m, n, "hyperbolic", ctx, (
         Edge(4, 6, "ultraparallel", cosh_dist=Cmn),
-        Edge(5, 6, "ultraparallel", cosh_dist=Cnm),
-    )
-    faces = tuple(f"F{i}" for i in range(1, 7))
-    return CoxeterPresentation(m, n, "hyperbolic", faces, edges,
-                               _gram_from_edges(ctx, 6, edges), ctx)
+        Edge(5, 6, "ultraparallel", cosh_dist=Cnm)))
 
 
 @lru_cache(maxsize=None)
@@ -147,16 +138,7 @@ def build_spherical_presentation(m: int, n: int) -> CoxeterPresentation:
     """Five-face presentation for the spherical patterns (finite apexes)."""
     if geometry_of(m, n) != "Spherical":
         raise GeometryError(f"({m},{n}) is not a spherical tiling type")
-    edges = (
-        Edge(1, 2, "angle", order=m),
-        Edge(1, 3, "angle", order=n),
-        Edge(2, 4, "ideal"),
-        Edge(3, 5, "ideal"),
-    )
-    ctx = make_context(lcm(m, n))
-    faces = tuple(f"F{i}" for i in range(1, 6))
-    return CoxeterPresentation(m, n, "spherical", faces, edges,
-                               _gram_from_edges(ctx, 5, edges), ctx)
+    return _presentation(m, n, "spherical", make_context(lcm(m, n)))
 
 
 def build_presentation(m: int, n: int) -> CoxeterPresentation:
@@ -230,10 +212,8 @@ def solve_ultraparallel_by_minor(m: int, n: int):
     cross-multiplied identity -C*D == A*c^2 and c > 0, all inside K0, and
     the cached closed-form values are returned.
     """
-    if geometry_of(m, n) != "Hyperbolic":
-        raise GeometryError(f"({m},{n}) is not a hyperbolic tiling type")
-    ctx, cm, cn, D, _, Cmn, Cnm = _hyperbolic_cosh_data(m, n)
     gram = build_hyperbolic_presentation(m, n).gram
+    ctx, cm, cn, D, _, _, Cmn, Cnm = _hyperbolic_cosh_data(m, n)
 
     def minor_rows(keep, x_val):
         # the Gram minor with the surviving ultraparallel entry, (4,6) or
@@ -278,7 +258,7 @@ def _k0_congruent_gram(p: CoxeterPresentation):
     -2cos(pi/n), (6,6) becomes 2D.  Each scaled off-diagonal entry of face 6
     is certified exactly against that closed form; (6,6) is G66 * D exactly.
     """
-    _, cm, cn, D, root, _, _ = _hyperbolic_cosh_data(p.m, p.n)
+    _, cm, cn, D, _, root, _, _ = _hyperbolic_cosh_data(p.m, p.n)
     zero = AlgebraicNumber.rational(p.ctx, 0)
     rows = [list(r) for r in p.gram]
     for i, want in enumerate((zero, zero, zero, -2 * cm, -2 * cn)):
@@ -404,7 +384,7 @@ def enumerate_cyclic_products(p: CoxeterPresentation):
     adj = diagram_adjacency(p)
     if p.family == "hyperbolic":
         g = _k0_congruent_gram(p)
-        Dinv = _discriminant(p.m, p.n)[4]
+        Dinv = _hyperbolic_cosh_data(p.m, p.n)[4]
     else:
         g, Dinv = p.gram, None
 

@@ -27,8 +27,8 @@ from functools import cached_property, lru_cache
 from math import gcd, inf, isqrt, lcm
 from typing import Optional
 
-from ._polys import (content, cyclotomic, dickson_to_power, fold_palindromic,
-                     mul, prime_factors, trim)
+from ._polys import (cyclotomic, dickson_to_power, fold_palindromic, mul,
+                     prime_factors, trim)
 from .errors import DomainError, VerificationError
 
 _FIXED_PREC = 128  # first P of the fixed-point enclosure
@@ -209,7 +209,7 @@ def _normalize(num, den):
     if den < 0:
         num = tuple(-c for c in num)
         den = -den
-    g = gcd(content(num), den)
+    g = gcd(*num, den)
     if g > 1:
         num = tuple(c // g for c in num)
         den //= g
@@ -276,10 +276,7 @@ class AlgebraicNumber:
 
     @staticmethod
     def generator(ctx: FieldContext) -> "AlgebraicNumber":
-        if ctx.degree == 1:
-            return AlgebraicNumber.rational(ctx, -ctx.modulus[0])
-        vec = (0, 1) + (0,) * (ctx.degree - 2)
-        return AlgebraicNumber(ctx, vec, 1)
+        return embed_cos(ctx, ctx.L)
 
     @staticmethod
     def _make(ctx, num, den, ext_num=None, ext_den=1, radicand=None):
@@ -438,9 +435,12 @@ class AlgebraicNumber:
         doubles until the fixed-point enclosure excludes zero (a value below
         the smallest subnormal rounds to the zero of its sign) and both of
         its ends round to one double, which then (rounding being monotone)
-        is the rounding of the value itself."""
+        is the rounding of the value itself.  A rational value is int / int
+        instead: halfway between two doubles, every enclosure straddles it."""
         if self.is_zero:
             return 0.0
+        if self.ext_num is None and not any(self.num[1:]):
+            return _to_float(self.num[0], self.den)
         for lo, hi, D in _enclosures(self):
             if lo > 0 or hi < 0:
                 f = _to_float(lo, D)
@@ -477,14 +477,14 @@ def _base_inverse(num, den, ctx):
     if ctx.degree == 1:
         return _normalize((den,), num[0])
     r_prev, r_cur = list(ctx.modulus), trim(num)
-    g = content(r_cur)
+    g = gcd(*r_cur)
     r_cur = [c // g for c in r_cur]
     t_prev, t_cur = ((), 1), ((1,), g)
     while len(r_cur) > 1:
         scale, q, rem = _pseudo_divmod(r_prev, r_cur)
         if not rem:
             raise ArithmeticError("element not invertible (modulus not coprime)")
-        g = content(rem)
+        g = gcd(*rem)
         # scale * r_prev - q * r_cur == rem, so the same combination of the
         # cofactors, divided by the content g, belongs to rem / g
         (tp, dp), (tc, dc) = t_prev, t_cur

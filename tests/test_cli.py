@@ -306,6 +306,31 @@ def test_canonical_json_golden(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the --format text stdout, pinned like the JSON above
+_GOLDEN_TEXT = [
+    (("gram", "22", "43"),
+     "bbb64f827cc43ecb814fbaa89ee3d7c928a18ff547a6cd02d1a595dd8f6a8062"),
+    (("gram", "5", "3", "--spherical"),
+     "c7488552196e4bd83db947941d087857793b3a964d053812fdb43b597b0bb2cf"),
+    (("arithmetic", "6", "6"),
+     "cd027dc15cb0bdf020d15fdecbe0c952b4a77778d7a3a1066ec52bdf753da8cc"),
+    (("arithmetic", "5", "3", "--spherical"),
+     "947310638c25caad742d377ff5d312b82902dd9ee38922235daa2448d482f663"),
+    (("tracefield", "10", "6"),
+     "6476b10e5feab42f041185fad73c038d2f22d24887548b03f75423209da9dd81"),
+    (("tracefield", "6", "4"),
+     "21c505ea7e52bc9abb1aa7e712ca3e56a4425fc3bb98cbe8f87088a5134b9dc8"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _GOLDEN_TEXT,
+                         ids=[" ".join(a) for a, _ in _GOLDEN_TEXT])
+def test_canonical_text_golden(argv, digest):
+    code, out = run_cli(*argv, "--format", "text")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_stray_arithmetic_error_exit_3(monkeypatch):
     def boom(args, out):
         raise ZeroDivisionError("division by zero")

@@ -259,10 +259,10 @@ def test_k0_certification_rejects_wrong_scaled_entry(monkeypatch):
     with pytest.raises(VerificationError):
         enumerate_cyclic_products(swapped)
 
-    ctx, cm, cn, D, root, c_mn, c_nm = coxeter._hyperbolic_cosh_data(7, 4)
+    ctx, cm, cn, D, Dinv, root, c_mn, c_nm = coxeter._hyperbolic_cosh_data(7, 4)
     wrong = cm + AlgebraicNumber.rational(ctx, Fraction(1, 10**6))
     monkeypatch.setattr(coxeter, "_hyperbolic_cosh_data",
-                        lambda m, n: (ctx, wrong, cn, D, root, c_mn, c_nm))
+                        lambda m, n: (ctx, wrong, cn, D, Dinv, root, c_mn, c_nm))
     with pytest.raises(VerificationError):
         rank_and_signature(p)
     with pytest.raises(VerificationError):

@@ -756,11 +756,16 @@ def test_sign_of_tiny_element_escalates():
 
 
 @pytest.mark.parametrize("value", [Fraction(10**400, 3), Fraction(1, 10**320),
-                                   Fraction(-7, 10**400)])
+                                   Fraction(-7, 10**400),
+                                   Fraction(2**53 + 1, 2**53),
+                                   Fraction(2**53 + 3, 2**53),
+                                   Fraction(3, 2**1075)])
 def test_approx_outside_the_normal_range_matches_ladder(value):
     """Past the largest double and below the smallest normal one the
     rounding of the enclosure (inf, a subnormal, -0.0) is the ladder's
-    float(v) (inf, or 53 bits then a subnormal)."""
+    float(v) (inf, or 53 bits then a subnormal).  A rational exactly halfway
+    between two doubles, normal or subnormal, rounds to the even one
+    (1.0, 1.0000000000000004, 1e-323), though every enclosure straddles it."""
     x = AlgebraicNumber.rational(make_context(12), value)
     assert x.approx() == _ladder_approx(x)
     assert repr(x.approx()) == repr(_ladder_approx(x))  # the sign of -0.0
