@@ -128,7 +128,6 @@ def arithmetic_status(m: int, n: int) -> LinkClass:
     return LinkClass(tiling, True, trace_field_table(*t), f"paper_lookup: {cite}")
 
 
-@lru_cache(maxsize=None)
 def trace_field_table(m: int, n: int) -> Optional[FieldDescriptor]:
     """Invariant trace field of the type: tabulated for the six arithmetic
     types (the two hyperbolic entries cross-checked against the computed
@@ -163,13 +162,12 @@ def _cell_description(t: tuple[int, int]) -> str:
 
 
 def commensurable(a, b) -> tuple[bool, str]:
-    """Commensurability of two valid types, with the deciding clause.
+    """Commensurability of two valid (m, n) types, with the deciding clause.
 
     True iff the unordered types coincide or both lie in the Q(i) family
     {(3,3), (4,4), (6,6)}; negatives cite the invariant that separates them.
     """
-    ta = normalize_type(*(a if isinstance(a, tuple) else (a.m, a.n)))
-    tb = normalize_type(*(b if isinstance(b, tuple) else (b.m, b.n)))
+    ta, tb = normalize_type(*a), normalize_type(*b)
     for t in (ta, tb):
         if not is_valid_type(*t):
             raise DomainError(f"{t} is not a valid right-angled tiling type")
@@ -241,12 +239,10 @@ def classification_rows(bound: int) -> list[ClassificationRow]:
         status = arithmetic_status(*t)
         tf = status.trace_field
         label = tf.label if tf is not None else "-"
-        if geometry_of(*t) == "Hyperbolic":
-            deg = minimal_orbifold_degree(*t)
-            deg_str = str(deg) if deg != NOT_APPLICABLE else NOT_APPLICABLE
-        else:
-            deg_str = NOT_APPLICABLE
-        rows.append(ClassificationRow(t[0], t[1], geometry_of(*t),
+        geo = geometry_of(*t)
+        deg_str = (str(minimal_orbifold_degree(*t)) if geo == "Hyperbolic"
+                   else NOT_APPLICABLE)
+        rows.append(ClassificationRow(t[0], t[1], geo,
                                       status.arithmetic, label, deg_str,
                                       class_id[key[t]]))
     return rows

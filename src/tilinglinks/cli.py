@@ -32,6 +32,7 @@ from .errors import DomainError, VerificationError
 from .tracefields import invariant_trace_field, trace_field_json_dict
 
 MAX_PARAM = 50  # guard against runaway field degrees
+_FORMATS = ("text", "json")
 
 
 def _dump(obj) -> str:
@@ -321,11 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tilinglinks",
         description="Exact arithmetic and geometry for right-angled tiling links")
     ap.add_argument("--version", action="version", version=__version__)
-    default_format = os.environ.get("TILINGLINKS_FORMAT", "text")
+    default_format = os.environ.get("TILINGLINKS_FORMAT") or "text"
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--format", choices=("text", "json"),
+        p.add_argument("--format", choices=_FORMATS,
                        default=default_format)
         p.add_argument("--out", type=str, default=None,
                        help="write output to a file instead of stdout")
@@ -397,9 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "cell", "missing") is None:
-        args.cell = []
     try:
+        # argparse leaves a default taken from the environment unchecked
+        if args.format not in _FORMATS:
+            raise DomainError("TILINGLINKS_FORMAT must be text or json, "
+                              f"got {args.format!r}")
         if not args.out:
             return args.func(args, sys.stdout)
         # the file is opened only after the command has returned, so a

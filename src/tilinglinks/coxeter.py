@@ -11,13 +11,15 @@ Gram convention: diagonal entries are exactly 2; an angle pi/k contributes
 -2cos(pi/k), a shared ideal vertex contributes -2, and an ultraparallel pair
 at distance l contributes -2cosh(l).
 
-Everything in this module is pure and operates on immutable values.
+Everything in this module is pure; presentations and field contexts memoize
+derived values with `cached_property`, and a concurrent first use may compute
+such a value twice, with the same result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import copysign, hypot, lcm, sqrt
 from typing import Optional, Sequence, Union
 
@@ -82,6 +84,31 @@ class CoxeterPresentation:
         import numpy as np  # float geometry only: keeps numpy off exact paths
         return np.array([[e.approx() for e in row] for row in self.gram])
 
+    @cached_property
+    def _exact_gram(self):
+        """The Gram matrix the exact layers read: `gram` of a spherical
+        presentation, S*G*S with S = diag(1,...,1,sqrt D) of a hyperbolic one.
+
+        S*G*S is congruent to G, so it has the same rank and inertia
+        (Sylvester's law), and every entry lies in K0: (4,6) and (5,6) become
+        -2cos(pi/m) and -2cos(pi/n), (6,6) becomes 2D.  Each scaled
+        off-diagonal entry of face 6 is certified exactly against that closed
+        form, once per presentation; (6,6) is G66 * D exactly.
+        """
+        if self.family != "hyperbolic":
+            return self.gram
+        _, cm, cn, D, _, root, _, _ = _hyperbolic_cosh_data(self.m, self.n)
+        zero = AlgebraicNumber.rational(self.ctx, 0)
+        rows = [list(r) for r in self.gram]
+        for i, want in enumerate((zero, zero, zero, -2 * cm, -2 * cn)):
+            if rows[5][i] != rows[i][5] or rows[i][5] * root != want:
+                raise VerificationError(
+                    f"Gram entry ({i + 1},6) times sqrt(D) disagrees with its "
+                    "closed form in K0")
+            rows[i][5] = rows[5][i] = want
+        rows[5][5] = rows[5][5] * D
+        return tuple(tuple(r) for r in rows)
+
 
 def _presentation(m, n, family, ctx, extra=()):
     """The presentation on the diagram both families share -- F1 meets F2
@@ -133,7 +160,6 @@ def build_hyperbolic_presentation(m: int, n: int) -> CoxeterPresentation:
         Edge(5, 6, "ultraparallel", cosh_dist=Cnm)))
 
 
-@lru_cache(maxsize=None)
 def build_spherical_presentation(m: int, n: int) -> CoxeterPresentation:
     """Five-face presentation for the spherical patterns (finite apexes)."""
     if geometry_of(m, n) != "Spherical":
@@ -250,43 +276,20 @@ def solve_ultraparallel_by_minor(m: int, n: int):
 GramLike = Union[CoxeterPresentation, Sequence[Sequence[AlgebraicNumber]]]
 
 
-def _k0_congruent_gram(p: CoxeterPresentation):
-    """S*G*S for the hyperbolic Gram matrix G and S = diag(1,1,1,1,1,sqrt D).
-
-    S*G*S is congruent to G, so it has the same rank and inertia (Sylvester's
-    law), and every entry lies in K0: (4,6) and (5,6) become -2cos(pi/m) and
-    -2cos(pi/n), (6,6) becomes 2D.  Each scaled off-diagonal entry of face 6
-    is certified exactly against that closed form; (6,6) is G66 * D exactly.
-    """
-    _, cm, cn, D, _, root, _, _ = _hyperbolic_cosh_data(p.m, p.n)
-    zero = AlgebraicNumber.rational(p.ctx, 0)
-    rows = [list(r) for r in p.gram]
-    for i, want in enumerate((zero, zero, zero, -2 * cm, -2 * cn)):
-        if rows[5][i] != rows[i][5] or rows[i][5] * root != want:
-            raise VerificationError(
-                f"Gram entry ({i + 1},6) times sqrt(D) disagrees with its "
-                "closed form in K0")
-        rows[i][5] = rows[5][i] = want
-    rows[5][5] = rows[5][5] * D
-    return rows
-
-
 def rank_and_signature(p: GramLike) -> tuple[int, int, int]:
     """(rank, n_positive, n_negative), rank exact, signature by Descartes
     on the exact characteristic polynomial, cross-checked numerically.
 
-    For a hyperbolic presentation the exact part runs on the K0-congruent
-    Gram matrix of `_k0_congruent_gram`; raw rows and spherical
-    presentations are used as given.  The numeric cross-check always uses
-    the original Gram matrix: its float eigenvalues, from the cyclic Jacobi
-    method on the `approx` doubles, are counted against the thresholds
-    +-1e-9, and a disagreement with the exact counts, like a Jacobi
-    iteration that does not converge, raises `VerificationError`.
+    For a presentation the exact part runs on its `_exact_gram`, the
+    K0-congruent Gram matrix of a hyperbolic one; raw rows are used as
+    given.  The numeric cross-check always uses the original Gram matrix:
+    its float eigenvalues, from the cyclic Jacobi method on the `approx`
+    doubles, are counted against the thresholds +-1e-9, and a disagreement
+    with the exact counts, like a Jacobi iteration that does not converge,
+    raises `VerificationError`.
     """
-    rows = p.gram if isinstance(p, CoxeterPresentation) else p
-    exact_rows = (_k0_congruent_gram(p)
-                  if isinstance(p, CoxeterPresentation)
-                  and p.family == "hyperbolic" else rows)
+    rows, exact_rows = ((p.gram, p._exact_gram)
+                        if isinstance(p, CoxeterPresentation) else (p, p))
     s = len(rows)
     coeffs = _charpoly(exact_rows)  # lambda^s .. constant term
     trailing = 0
@@ -350,7 +353,6 @@ def _jacobi_eigenvalues(a):
         f"{_JACOBI_SWEEPS} Jacobi sweeps")
 
 
-@lru_cache(maxsize=None)
 def validate_presentation(p: CoxeterPresentation) -> tuple[int, int, int]:
     """Rank/signature gate: every polyhedral Gram matrix here must have
     rank 4 and signature (3,1)."""
@@ -374,22 +376,20 @@ def enumerate_cyclic_products(p: CoxeterPresentation):
     """All cyclic products b_I over simple cycles of the diagram, including
     every 2-cycle a_ij * a_ji; deterministic order (by length, then faces).
 
-    For a hyperbolic presentation the products run on the certified
-    K0-congruent Gram matrix S*G*S of `_k0_congruent_gram`.  A cycle visits
-    each of its faces through two entries, so a cycle through face 6 picks
-    up sqrt(D) twice: its product on S*G*S is D times the one on G, and is
-    multiplied once by D^-1.  No factor carries sqrt(D).
+    The products run on `p._exact_gram`, S*G*S for a hyperbolic presentation.
+    A cycle visits each of its faces through two entries, so a cycle through
+    face 6, which only the hyperbolic diagram has, picks up sqrt(D) twice: its
+    product on S*G*S is D times the one on G, and is multiplied once by D^-1.
+    No factor carries sqrt(D).
     """
     s = p.size
     adj = diagram_adjacency(p)
-    if p.family == "hyperbolic":
-        g = _k0_congruent_gram(p)
-        Dinv = _hyperbolic_cosh_data(p.m, p.n)[4]
-    else:
-        g, Dinv = p.gram, None
+    g = p._exact_gram
 
     def unscaled(faces, val):
-        return faces, (val * Dinv if Dinv is not None and 6 in faces else val)
+        if 6 in faces:
+            val = val * _hyperbolic_cosh_data(p.m, p.n)[4]
+        return faces, val
 
     out = []
     for i in range(s):

@@ -39,15 +39,15 @@ def mdot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] - u[3] * v[3]
 
 
-def classify_point(v, tol=TOL):
+def classify_point(v):
     """'finite' (q<0), 'ideal' (q~0) or 'ultra_ideal' (q>0) after unit-norm
     scaling."""
     v = np.asarray(v, float)
     nv = v / np.linalg.norm(v)
     q = mdot(nv, nv)
-    if q < -tol:
+    if q < -TOL:
         return "finite"
-    if q > tol:
+    if q > TOL:
         return "ultra_ideal"
     return "ideal"
 
@@ -111,7 +111,7 @@ def polygon_edge_and_angle(p: int, alpha: float) -> tuple[float, float]:
     return float(edge), float(ang)
 
 
-def tiling_angle_oracle(m: int, n: int, iters: int = 80) -> float:
+def tiling_angle_oracle(m: int, n: int) -> float:
     """Independent derivation of alpha_m: bisect for the angle at which the
     constructed regular m-gon and n-gon (angles summing to pi) share an edge
     length.  Uses polygon construction only, not the closed form."""
@@ -126,7 +126,7 @@ def tiling_angle_oracle(m: int, n: int, iters: int = 80) -> float:
         return em - en
 
     # edge of the m-gon shrinks as its angle grows, edge of the n-gon grows
-    for _ in range(iters):
+    for _ in range(80):  # far past float resolution of the bracket
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0:
             lo = mid
@@ -601,18 +601,18 @@ def verify_basins(cell: IdealCell, samples: int = 10000,
                                 max_margin, near_wall, ambiguous)
 
 
-def drum_symmetries_ok(d: DrumGeometry, tol: float = TOL) -> bool:
-    """All 4n candidate isometries permute the vertex set within tol."""
+def drum_symmetries_ok(d: DrumGeometry) -> bool:
+    """All 4n candidate isometries permute the vertex set within 10 TOL."""
     V = d.cell.vertices
     for g in d.cell.isometries:
         img = (g @ V.T).T
         dist = np.linalg.norm(img[:, None, :] - V[None, :, :], axis=2)
-        if not np.all(np.any(dist < tol * 10, axis=1)):
+        if not np.all(np.any(dist < TOL * 10, axis=1)):
             return False
     return True
 
 
-def verify_gluing_angles(m: int, n: int, tol: float = TOL) -> bool:
+def verify_gluing_angles(m: int, n: int) -> bool:
     """Edge-class angle sums of the drum decomposition equal 2*pi.
 
     At crossing edges the four base-lateral wedges of the two drum types sum
@@ -624,4 +624,4 @@ def verify_gluing_angles(m: int, n: int, tol: float = TOL) -> bool:
     dn = build_drum(m, n, side=n)
     crossing = 2 * (2 * dm.base_lateral + 2 * dn.base_lateral)
     vertical = 2 * (dm.lateral_lateral + dn.lateral_lateral)
-    return abs(crossing - 2 * pi) < tol and abs(vertical - 2 * pi) < tol
+    return abs(crossing - 2 * pi) < TOL and abs(vertical - 2 * pi) < TOL

@@ -155,14 +155,14 @@ def squarefree_part(value: Fraction) -> tuple[Fraction, int]:
     return c, sign * d
 
 
-def _probable_prime(n, bases=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+def _probable_prime(n):
     if n < 2:
         return False
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in bases:
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if a % n == 0:
             continue
         x = pow(a, d, n)

@@ -437,3 +437,19 @@ def test_format_env_default(monkeypatch):
     monkeypatch.setenv("TILINGLINKS_FORMAT", "json")
     code, out = run_cli("commensurable", "6", "4", "6", "4")
     assert json.loads(out)["commensurable"] is True
+
+
+@pytest.mark.parametrize("value", ["xml", "JSON"])
+def test_format_env_invalid_exit_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("TILINGLINKS_FORMAT", value)
+    code, out = run_cli("commensurable", "3", "3", "6", "6")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: domain: TILINGLINKS_FORMAT must be text or json, "
+        f"got {value!r}\n")
+    # an explicit --format wins, and --version needs no format
+    code, out = run_cli("commensurable", "3", "3", "6", "6", "--format", "json")
+    assert code == 0 and json.loads(out)["commensurable"] is True
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--version")
+    assert exc.value.code == 0

@@ -12,6 +12,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from tilinglinks import coxeter
+from tilinglinks.arithmeticity import check_arithmetic
 from tilinglinks.coxeter import (SPHERICAL_TYPES, _charpoly,
                                  build_hyperbolic_presentation,
                                  build_presentation,
@@ -258,15 +259,39 @@ def test_k0_certification_rejects_wrong_scaled_entry(monkeypatch):
         rank_and_signature(swapped)
     with pytest.raises(VerificationError):
         enumerate_cyclic_products(swapped)
+    # the two consumers of validate_presentation refuse it as well
+    from tilinglinks.lorentz import realize
+    with pytest.raises(VerificationError):
+        check_arithmetic(swapped)
+    with pytest.raises(VerificationError):
+        realize(swapped)
 
+    _patch_wrong_cos_m(monkeypatch)
+    # a fresh copy: the cached presentation keeps the K0 Gram certified by
+    # earlier calls
+    with pytest.raises(VerificationError):
+        rank_and_signature(dataclasses.replace(p))
+    with pytest.raises(VerificationError):
+        solve_ultraparallel_by_minor(7, 4)
+
+
+def _patch_wrong_cos_m(monkeypatch):
+    """Make _hyperbolic_cosh_data(7, 4) report a cos(pi/m) off by 1e-6."""
     ctx, cm, cn, D, Dinv, root, c_mn, c_nm = coxeter._hyperbolic_cosh_data(7, 4)
     wrong = cm + AlgebraicNumber.rational(ctx, Fraction(1, 10**6))
     monkeypatch.setattr(coxeter, "_hyperbolic_cosh_data",
                         lambda m, n: (ctx, wrong, cn, D, Dinv, root, c_mn, c_nm))
+
+
+def test_k0_certification_runs_once_per_presentation(monkeypatch):
+    p = dataclasses.replace(build_hyperbolic_presentation(7, 4))
+    check_arithmetic(p)
+    # p keeps the K0 Gram certified against the true closed form; a copy
+    # without it certifies again and meets the wrong one
+    _patch_wrong_cos_m(monkeypatch)
+    assert rank_and_signature(p) == (4, 3, 1)
     with pytest.raises(VerificationError):
-        rank_and_signature(p)
-    with pytest.raises(VerificationError):
-        solve_ultraparallel_by_minor(7, 4)
+        rank_and_signature(dataclasses.replace(p))
 
 
 def test_validate_presentation_all_families():
@@ -350,7 +375,7 @@ def kernel_grams():
     out = []
     for (m, n) in HYPERBOLIC_PAIRS_12:
         p = build_hyperbolic_presentation(m, n)
-        out.append((f"({m},{n}) K0", coxeter._k0_congruent_gram(p)))
+        out.append((f"({m},{n}) K0", p._exact_gram))
         out.append((f"({m},{n}) raw", p.gram))
     for (m, n) in sorted(SPHERICAL_TYPES):
         out.append((f"({m},{n}) spherical",
