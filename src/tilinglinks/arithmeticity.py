@@ -112,12 +112,14 @@ class SweepRow:
     witness: str
 
 
+@lru_cache(maxsize=None)
 def hyperbolic_verdict(m: int, n: int) -> tuple[bool, str]:
     """Arithmeticity verdict for a hyperbolic pattern, with witness text.
 
     When m or n lies outside {3,4,6} the 2-cycle 4cos^2(pi/p) is already
     irrational, which settles the verdict without building the presentation;
-    otherwise the full certificate is computed.
+    otherwise the full certificate is computed.  Cached: `report` asks for
+    the same ordered type from `classification_rows` and from the sweep.
     """
     if geometry_of(m, n) != "Hyperbolic":
         raise DomainError(f"({m},{n}) is not hyperbolic")

@@ -35,18 +35,100 @@ MAX_PARAM = 50  # guard against runaway field degrees
 _FORMATS = ("text", "json")
 
 
+_str = json.encoder.encode_basestring_ascii
+_int = int.__repr__
+_INF = float("inf")
+
+
+def _float(x) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, built in
+    one recursive pass.
+
+    With `indent` set, the standard library drops to its pure-Python
+    generator encoder.  Here each container is joined from its children's
+    finished text, and a dict object met again at the same indentation (a
+    Gram entry shared by (i,j) and (j,i)) reuses its text: the memo is keyed
+    by id and lives for this call only, while `obj` keeps every id alive.
+    Anything `json` rejects raises TypeError, and so does a key that is not
+    a str (the program writes no other).
+    """
+    memo = {}
+
+    def seq(o, outer):
+        if not o:
+            return "[]"
+        inner = outer + "  "
+        items = [enc(v, inner) for v in o]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + outer + "]"
+
+    def mapping(o, outer):
+        text = memo.get((id(o), outer))
+        if text is None:
+            if not o:
+                text = "{}"
+            else:
+                inner = outer + "  "
+                items = [_str(k) + ": " + enc(v, inner)
+                         for k, v in sorted(o.items())]
+                text = ("{\n" + inner + (",\n" + inner).join(items)
+                        + "\n" + outer + "}")
+            memo[(id(o), outer)] = text
+        return text
+
+    def enc(o, outer):
+        t = type(o)
+        if t is int:
+            return _int(o)
+        if t is list:
+            return seq(o, outer)
+        if t is dict:
+            return mapping(o, outer)
+        if t is str:
+            return _str(o)
+        if t is float:
+            return _float(o)
+        # json's own order, so subclasses (bool among the ints) match it
+        if isinstance(o, str):
+            return _str(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return _int(o)
+        if isinstance(o, float):
+            return _float(o)
+        if isinstance(o, (list, tuple)):
+            return seq(o, outer)
+        if isinstance(o, dict):
+            return mapping(o, outer)
+        raise TypeError(
+            f"Object of type {type(o).__name__} is not JSON serializable")
+
+    return enc(obj, "")
 
 
 def _fmt_exact(x) -> str:
-    coeffs = ",".join(f"{f.numerator}/{f.denominator}" if f.denominator != 1
-                      else str(f.numerator) for f in x.base_coeffs)
-    s = f"{x.approx():.12g} (= [{coeffs}]"
-    if x.ext_coeffs is not None:
-        ext = ",".join(f"{f.numerator}/{f.denominator}" if f.denominator != 1
-                       else str(f.numerator) for f in x.ext_coeffs)
-        s += f" + [{ext}]*sqrt({x.radicand.approx():.12g})"
+    def terms(coeffs):
+        return ",".join(f"{f.numerator}/{f.denominator}" if f.denominator != 1
+                        else str(f.numerator) for f in coeffs)
+
+    s = f"{x.approx():.12g} (= [{terms(x.base_coeffs)}]"
+    ext = x.ext_coeffs
+    if ext is not None:
+        s += f" + [{terms(ext)}]*sqrt({x.radicand.approx():.12g})"
     return s + f" over L={x.ctx.L})"
 
 

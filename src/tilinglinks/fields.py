@@ -668,16 +668,23 @@ def is_algebraic_integer(x: AlgebraicNumber) -> bool:
 
 # -- serialization -----------------------------------------------------------
 
+def _pairs(num, den):
+    """[numerator, denominator] of each c/den in lowest terms (den > 0)."""
+    out = []
+    for c in num:
+        g = gcd(c, den)
+        out.append([c // g, den // g])
+    return out
+
+
 def as_json_dict(x: AlgebraicNumber) -> dict:
-    out = {
+    return {
         "L": x.ctx.L,
-        "base": [[f.numerator, f.denominator] for f in x.base_coeffs],
-        "ext": None if x.ext_coeffs is None else
-               [[f.numerator, f.denominator] for f in x.ext_coeffs],
+        "base": _pairs(x.num, x.den),
+        "ext": None if x.ext_num is None else _pairs(x.ext_num, x.ext_den),
         "radicand": None if x.radicand is None else as_json_dict(x.radicand),
         "approx": x.approx(),
     }
-    return out
 
 
 def from_json_dict(d: dict) -> AlgebraicNumber:

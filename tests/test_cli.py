@@ -1,12 +1,14 @@
 """Command-line interface: subcommand outputs, exit codes, canonical JSON,
 and seeded reproducibility."""
 
+import collections
 import dataclasses
 import hashlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tilinglinks
 from tilinglinks import cli, lorentz
@@ -238,6 +240,102 @@ def test_gram_json_output_guard_22_43():
     text = cli._dump(presentation_json_dict(p))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "d2b1cac7e0b52e5b119752cbfb3b4e76d22e790ce8e83ccc321f0bb0a92e22af")
+
+
+class _Float(float):
+    def __repr__(self):  # json ignores it, and so must _dump
+        return "not a float"
+
+
+_KEYS = st.one_of(
+    st.text(max_size=5),
+    st.sampled_from(["", '"', "\\", "\n\t\x00", "é", "\U0001d53d"]))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-2**200, max_value=2**200), st.text(max_size=6),
+    st.floats(), st.floats().map(_Float),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 1e300]))
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_KEYS, kids, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TREES, st.dictionaries(_KEYS, _TREES, max_size=3))
+def test_dump_matches_json(tree, shared):
+    # `shared` is one dict object met twice at one depth and once at others
+    for obj in (tree, {"a": [shared, shared, tree], "b": shared,
+                       "c": {"d": shared, "t": tree}}):
+        assert cli._dump(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("bad", [set(), b"x", object(), [1, {2}],
+                                 {"k": [b"x"]}, {(1, 2): 0}, {1: 0, "1": 0}])
+def test_dump_rejects_what_json_rejects(bad):
+    with pytest.raises(TypeError):
+        json.dumps(bad, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        cli._dump(bad)
+
+
+def test_as_json_dict_pairs_are_lowest_terms():
+    from tilinglinks.coxeter import build_presentation
+    from tilinglinks.fields import as_json_dict
+    seen_ext = 0
+    for m, n in ((5, 4), (5, 10), (6, 4)):
+        for row in build_presentation(m, n).gram:
+            for x in row:
+                d = as_json_dict(x)
+                assert d["base"] == [[f.numerator, f.denominator]
+                                     for f in x.base_coeffs]
+                if x.ext_coeffs is None:
+                    assert d["ext"] is None
+                    continue
+                seen_ext += 1
+                assert d["ext"] == [[f.numerator, f.denominator]
+                                    for f in x.ext_coeffs]
+    assert seen_ext
+
+
+def test_presentation_json_shares_one_dict_per_entry():
+    """_dump encodes a shared dict once; the export relies on
+    presentation_json_dict handing out one dict per distinct entry."""
+    from tilinglinks.coxeter import build_presentation, presentation_json_dict
+    p = build_presentation(22, 43)
+    doc = presentation_json_dict(p)
+    gram = doc["gram"]
+    size = len(gram)
+    assert all(gram[i][j] is gram[j][i]
+               for i in range(size) for j in range(size))
+    values = [x for row in p.gram for x in row]
+    dicts = [x for row in gram for x in row]
+    for e, d in zip(p.edges, doc["edges"]):
+        if e.cosh_dist is not None:
+            values.append(e.cosh_dist)
+            dicts.append(d["cosh_dist"])
+    assert len({id(d) for d in dicts}) == len({id(x) for x in values})
+
+
+def test_report_certifies_each_presentation_once(monkeypatch):
+    from tilinglinks import arithmeticity, classify
+    real = arithmeticity.check_arithmetic
+    calls = collections.Counter()
+
+    def counting(p):
+        calls[(p.m, p.n, p.family)] += 1
+        return real(p)
+
+    monkeypatch.setattr(arithmeticity, "check_arithmetic", counting)
+    monkeypatch.setattr(classify, "check_arithmetic", counting)
+    arithmeticity.hyperbolic_verdict.cache_clear()
+    classify.arithmetic_status.cache_clear()
+    code, _ = run_cli("report", "--bound", "8", "--format", "json")
+    assert code == 0
+    assert (6, 4, "hyperbolic") in calls
+    assert max(calls.values()) == 1, calls
 
 
 # sha256 of the canonical `--format json` stdout for types of field degree
