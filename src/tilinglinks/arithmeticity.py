@@ -16,10 +16,9 @@ hyperbolic presentation are taken on its certified K0-congruent Gram matrix
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .coxeter import (CoxeterPresentation, build_hyperbolic_presentation,
                       enumerate_cyclic_products, geometry_of,
@@ -31,8 +30,7 @@ from .fields import (AlgebraicNumber, as_json_dict, embed_cos, is_rational,
 RATIONAL_COSINE_ORDERS = frozenset({3, 4, 6})
 
 
-@dataclass(frozen=True)
-class EntryWitness:
+class EntryWitness(NamedTuple):
     i: int
     j: int
     value: AlgebraicNumber
@@ -40,15 +38,13 @@ class EntryWitness:
     integral: bool
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(NamedTuple):
     faces: tuple[int, ...]
     value: AlgebraicNumber
     rational: Optional[Fraction]
 
 
-@dataclass(frozen=True)
-class ArithmeticityCertificate:
+class ArithmeticityCertificate(NamedTuple):
     m: int
     n: int
     family: str
@@ -104,8 +100,7 @@ def niven_filter(p: int) -> bool:
     return computed
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     m: int
     n: int
     arithmetic: bool

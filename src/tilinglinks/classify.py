@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arithmeticity import check_arithmetic, hyperbolic_verdict
 from .coxeter import (EUCLIDEAN_TYPES, SPHERICAL_TYPES, TilingType,
@@ -63,8 +62,7 @@ def valid_types(bound: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class GeometryClassification:
+class GeometryClassification(NamedTuple):
     tiling: TilingType
     exists: bool
     vertex_count: Optional[int]
@@ -96,8 +94,7 @@ def classify_geometry(m: int, n: int,
     return GeometryClassification(t, True, int(v), "")
 
 
-@dataclass(frozen=True)
-class LinkClass:
+class LinkClass(NamedTuple):
     tiling: TilingType
     arithmetic: bool
     trace_field: Optional[FieldDescriptor]
@@ -217,8 +214,7 @@ def minimal_orbifold_degree(m: int, n: int):
 
 # -- classification table ----------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(NamedTuple):
     m: int
     n: int
     geometry: str

@@ -32,6 +32,7 @@ from .errors import DomainError, VerificationError
 from .tracefields import invariant_trace_field, trace_field_json_dict
 
 MAX_PARAM = 50  # guard against runaway field degrees
+MAX_SAMPLES = 1_000_000  # a basin check of this many takes about 15 s
 _FORMATS = ("text", "json")
 
 
@@ -145,6 +146,8 @@ def _check_sampling(samples, seed):
     # classification work that precedes the basin checks
     if samples < 1:
         raise DomainError(f"--samples must be >= 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise DomainError(f"--samples must be <= {MAX_SAMPLES}, got {samples}")
     if seed < 0:
         raise DomainError(f"--seed must be >= 0, got {seed}")
 
@@ -367,7 +370,7 @@ def cmd_report(args, out):
     arithmetic_rows = [r for r in rows if r.arithmetic]
     payload = {
         "bound": args.bound,
-        "classification": [r.__dict__ for r in rows],
+        "classification": [r._asdict() for r in rows],
         "arithmetic_types": [[r.m, r.n] for r in arithmetic_rows],
         "sweep_arithmetic": [[r.m, r.n] for r in sweep if r.arithmetic],
         "trace_fields": {f"({r.m},{r.n})": r.trace_field

@@ -13,15 +13,15 @@ at distance l contributes -2cosh(l).
 
 Everything in this module is pure; presentations and field contexts memoize
 derived values with `cached_property`, and a concurrent first use may compute
-such a value twice, with the same result.
+such a value twice, with the same result.  The records are immutable
+NamedTuples; `_replace` makes a modified copy, with a fresh cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import copysign, hypot, lcm, sqrt
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import DomainError, GeometryError, VerificationError
 from .fields import (AlgebraicNumber, FieldContext, adjoin_sqrt, as_json_dict,
@@ -45,8 +45,7 @@ def geometry_of(m: int, n: int) -> str:
     return "Hyperbolic"
 
 
-@dataclass(frozen=True)
-class TilingType:
+class TilingType(NamedTuple):
     m: int
     n: int
     geometry: str
@@ -56,8 +55,7 @@ class TilingType:
         return TilingType(m, n, geometry_of(m, n))
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Labeled Coxeter-diagram edge between faces i and j (1-based)."""
     i: int
     j: int
@@ -66,8 +64,7 @@ class Edge:
     cosh_dist: Optional[AlgebraicNumber] = None  # exact cosh of the distance
 
 
-@dataclass(frozen=True)
-class CoxeterPresentation:
+class _PresentationFields(NamedTuple):
     m: int
     n: int
     family: str  # "hyperbolic" | "spherical"
@@ -75,6 +72,11 @@ class CoxeterPresentation:
     edges: tuple[Edge, ...]
     gram: tuple[tuple[AlgebraicNumber, ...], ...]
     ctx: FieldContext
+
+
+class CoxeterPresentation(_PresentationFields):
+    """A Coxeter diagram and its exact Gram matrix; the subclass keeps a
+    `__dict__` for the cached `_exact_gram`."""
 
     @property
     def size(self) -> int:

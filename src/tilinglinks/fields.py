@@ -21,11 +21,10 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, inf, isqrt, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._polys import (cyclotomic, dickson_to_power, fold_palindromic, mul,
                      prime_factors, trim)
@@ -43,17 +42,19 @@ def _totient(n):
     return n
 
 
-@dataclass(frozen=True)
-class FieldContext:
-    """The real cyclotomic field Q(2cos(pi/L)).
-
-    `modulus` is the monic integer minimal polynomial of the generator,
-    low degree first; `degree` is its degree, phi(2L)/2 for L >= 2.
-    """
-
+class _FieldContextFields(NamedTuple):
     L: int
     modulus: tuple[int, ...]
     degree: int
+
+
+class FieldContext(_FieldContextFields):
+    """The real cyclotomic field Q(2cos(pi/L)).
+
+    `modulus` is the monic integer minimal polynomial of the generator,
+    low degree first; `degree` is its degree, phi(2L)/2 for L >= 2.  The
+    subclass keeps a `__dict__` for the cached `_modulus_terms`.
+    """
 
     @cached_property
     def _modulus_terms(self) -> tuple[tuple[int, int], ...]:
@@ -250,21 +251,47 @@ def _vmul(a, da, b, db, ctx):
     return _normalize(_reduce_mod(out, ctx), da * db)
 
 
-@dataclass(frozen=True)
 class AlgebraicNumber:
     """An exact element of K0 = Q(2cos(pi/L)), or of K0(sqrt(D)).
 
     The optional (`ext_num`, `ext_den`) vector is the coefficient of
     sqrt(radicand); at most one radicand may appear among elements that are
-    combined arithmetically.
+    combined arithmetically.  Immutable: equal and hashed by its fields.
     """
 
-    ctx: FieldContext
-    num: tuple[int, ...]
-    den: int
-    ext_num: Optional[tuple[int, ...]] = None
-    ext_den: int = 1
-    radicand: Optional["AlgebraicNumber"] = None
+    __slots__ = ("ctx", "num", "den", "ext_num", "ext_den", "radicand")
+
+    def __init__(self, ctx: FieldContext, num: tuple[int, ...], den: int,
+                 ext_num: Optional[tuple[int, ...]] = None, ext_den: int = 1,
+                 radicand: Optional["AlgebraicNumber"] = None):
+        set_ = object.__setattr__
+        set_(self, "ctx", ctx)
+        set_(self, "num", num)
+        set_(self, "den", den)
+        set_(self, "ext_num", ext_num)
+        set_(self, "ext_den", ext_den)
+        set_(self, "radicand", radicand)
+
+    def _key(self):
+        return (self.ctx, self.num, self.den, self.ext_num, self.ext_den,
+                self.radicand)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):  # pickle and copy through __init__
+        return AlgebraicNumber, self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     # -- constructors ------------------------------------------------------
 

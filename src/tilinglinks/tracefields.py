@@ -16,9 +16,8 @@ field.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coxeter import (CoxeterPresentation, diagram_adjacency,
                       enumerate_cyclic_products, exact_det)
@@ -26,8 +25,7 @@ from .errors import DomainError, VerificationError
 from .fields import AlgebraicNumber, as_json_dict, is_rational
 
 
-@dataclass(frozen=True)
-class TraceFieldWorksheet:
+class TraceFieldWorksheet(NamedTuple):
     presentation: CoxeterPresentation
     paths: tuple[tuple[int, ...], ...]      # diagram path from F1 to each face
     coeffs: tuple[AlgebraicNumber, ...]     # c_r = product of entries on path
@@ -36,8 +34,7 @@ class TraceFieldWorksheet:
     det: AlgebraicNumber
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(NamedTuple):
     """Either an imaginary quadratic field Q(sqrt(d)) with d squarefree,
     or a symbolic extension of a non-rational adjoint trace field."""
     kind: str              # "quadratic" | "symbolic"
@@ -45,8 +42,7 @@ class FieldDescriptor:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class TraceFieldResult:
+class TraceFieldResult(NamedTuple):
     adjoint_rational: bool
     adjoint_generators: tuple[AlgebraicNumber, ...]  # non-rational cyclic products
     discriminant_det: AlgebraicNumber

@@ -1,8 +1,6 @@
 """Certificates for the two-condition arithmeticity criterion, the
 rational-cosine filter, and the verdict sweep."""
 
-import dataclasses
-
 import pytest
 
 from tilinglinks.arithmeticity import (CycleWitness, arithmetic_sweep,
@@ -144,7 +142,7 @@ def test_swapped_face_6_entries_rejected():
     p = build_hyperbolic_presentation(7, 4)
     gram = [list(r) for r in p.gram]
     gram[3][5] = gram[5][3] = gram[4][5]
-    swapped = dataclasses.replace(p, gram=tuple(tuple(r) for r in gram))
+    swapped = p._replace(gram=tuple(tuple(r) for r in gram))
     with pytest.raises(VerificationError):
         check_arithmetic(swapped)
     with pytest.raises(VerificationError):

@@ -184,6 +184,20 @@ def test_nonpositive_samples_exit_2(samples):
     assert code == 2 and out == ""
 
 
+def test_samples_above_cap_exit_2(monkeypatch, capsys):
+    # refused before any work: a linear-cost sampler must not run for hours
+    monkeypatch.setattr(lorentz, "verify_basins", None)
+    samples = str(cli.MAX_SAMPLES + 1)
+    code, out = run_cli("geometry-verify", "--cell", "tetrahedron",
+                        "--samples", samples)
+    assert code == 2 and out == ""
+    code, out = run_cli("report", "--bound", "4", "--with-geometry",
+                        "--samples", samples)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.count(f"--samples must be <= {cli.MAX_SAMPLES}") == 2
+
+
 def test_negative_seed_exit_2():
     # a negative Halton start index never ran out of digits: no exit at all
     code, out = run_cli("geometry-verify", "--cell", "tetrahedron",
@@ -339,7 +353,9 @@ def test_report_certifies_each_presentation_once(monkeypatch):
 
 
 # sha256 of the canonical `--format json` stdout for types of field degree
-# 2 to 920: a change to the field layer must leave every byte as it is
+# 2 to 920, and of the classification commands that serialize the record
+# types: a change to the field layer or to a record must leave every byte
+# as it is
 _GOLDEN_JSON = [
     (("gram", "6", "4"),
      "d563bf36afb7e1fd36c7d14c1480241049d8da54cb39483a24044c86b17737b8"),
@@ -393,6 +409,20 @@ _GOLDEN_JSON = [
      "7b2882515494c15baccfea65c94dcfcc30dfa178827d6d94227c11fcfd76f47e"),
     (("arithmetic", "5", "3", "--spherical"),
      "b2051abb24c5512a188646b1e7880c2d21219f8eef6a6c84741690ff7d1b595b"),
+    (("report", "--bound", "12"),
+     "d3443b37831b6b13443aec8ef6d001890c7b54a7abeadf8ca939ab082544765b"),
+    (("report", "--bound", "50"),
+     "26274784c5879639adacb1f85a5d7413f3a6695a07acd8cd1b363f2b4d42335e"),
+    (("sweep", "--m-max", "12", "--n-max", "12"),
+     "a4b587c2a52f2704a003d5010a58a734fe74e0d75a8f4714ada80e4409ea3ea6"),
+    (("classify", "6", "4", "--genus", "2"),
+     "495b553ee05d27649aa6d70e170d4a629fd43a572a1321f9756bc93588801d0f"),
+    (("classify", "5", "3", "--genus", "0"),
+     "66da2d8c7b28a1948415b559d037c3bc38c1c9caab616237e8e341ec7bc38918"),
+    (("commensurable", "3", "3", "6", "6"),
+     "964cb3c1309086ea9751df7f51e49ae69b3c62a6f3b034d113e84c0d04d851c0"),
+    (("commensurable", "7", "4", "9", "5"),
+     "05109c742d82b8eeccc09bf59fb9efc30a453a49d1b077cbe01c44fb8d5085aa"),
 ]
 
 
@@ -418,6 +448,10 @@ _GOLDEN_TEXT = [
      "6476b10e5feab42f041185fad73c038d2f22d24887548b03f75423209da9dd81"),
     (("tracefield", "6", "4"),
      "21c505ea7e52bc9abb1aa7e712ca3e56a4425fc3bb98cbe8f87088a5134b9dc8"),
+    (("report", "--bound", "12"),
+     "43c2d11445984b64cd9f62e5304bea5e5b6da99e104a6c1c2f6526ba26f6c263"),
+    (("sweep", "--m-max", "12", "--n-max", "12"),
+     "919ad6236dff835dbadf6ddf0dfea82d231c9ee14c6ed93b8f591e174233e82f"),
 ]
 
 
@@ -490,6 +524,20 @@ def test_numpy_loaded_only_for_float_geometry():
              ["geometry-verify", "--cell", "tetrahedron", "--samples", "10"]]
     assert _probe_imports("numpy", argvs) == [[0, False]] * 5 + [[2, False],
                                                                 [0, True]]
+
+
+def test_exact_commands_load_neither_dataclasses_nor_inspect():
+    # the exact layers' records are NamedTuples: `dataclasses`, the `inspect`
+    # it imports and its generated methods took 30 ms of each start-up
+    argvs = [["gram", "6", "4"],
+             ["tracefield", "6", "4", "--format", "json"],
+             ["arithmetic", "6", "6", "--format", "json"],
+             ["classify", "6", "4", "--genus", "2"],
+             ["commensurable", "3", "3", "6", "6"],
+             ["sweep", "--m-max", "12", "--n-max", "12"],
+             ["report", "--bound", "12", "--format", "json"]]
+    for module in ("dataclasses", "inspect"):
+        assert _probe_imports(module, argvs) == [[0, False]] * 7, module
 
 
 def test_no_command_loads_mpmath():

@@ -2,7 +2,6 @@
 singular-minor derivation of the ultraparallel entries, rank/signature, and
 cyclic products."""
 
-import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -254,7 +253,7 @@ def test_k0_certification_rejects_wrong_scaled_entry(monkeypatch):
     # rather than report the tampered matrix's signature
     gram = [list(r) for r in p.gram]
     gram[3][5] = gram[5][3] = gram[4][5]
-    swapped = dataclasses.replace(p, gram=tuple(tuple(r) for r in gram))
+    swapped = p._replace(gram=tuple(tuple(r) for r in gram))
     with pytest.raises(VerificationError):
         rank_and_signature(swapped)
     with pytest.raises(VerificationError):
@@ -270,7 +269,7 @@ def test_k0_certification_rejects_wrong_scaled_entry(monkeypatch):
     # a fresh copy: the cached presentation keeps the K0 Gram certified by
     # earlier calls
     with pytest.raises(VerificationError):
-        rank_and_signature(dataclasses.replace(p))
+        rank_and_signature(p._replace())
     with pytest.raises(VerificationError):
         solve_ultraparallel_by_minor(7, 4)
 
@@ -284,14 +283,14 @@ def _patch_wrong_cos_m(monkeypatch):
 
 
 def test_k0_certification_runs_once_per_presentation(monkeypatch):
-    p = dataclasses.replace(build_hyperbolic_presentation(7, 4))
+    p = build_hyperbolic_presentation(7, 4)._replace()
     check_arithmetic(p)
     # p keeps the K0 Gram certified against the true closed form; a copy
     # without it certifies again and meets the wrong one
     _patch_wrong_cos_m(monkeypatch)
     assert rank_and_signature(p) == (4, 3, 1)
     with pytest.raises(VerificationError):
-        rank_and_signature(dataclasses.replace(p))
+        rank_and_signature(p._replace())
 
 
 def test_validate_presentation_all_families():

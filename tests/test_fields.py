@@ -225,6 +225,26 @@ def test_golden_identity():
     assert g * g == g + 1
 
 
+def test_elements_and_contexts_are_immutable_values():
+    import copy
+    import pickle
+    ctx = make_context(12)
+    root5 = adjoin_sqrt(ctx, AlgebraicNumber.rational(ctx, 5))
+    x = embed_cos(ctx, 12) + root5
+    y = AlgebraicNumber(ctx, x.num, x.den, x.ext_num, x.ext_den, x.radicand)
+    assert x == y and hash(x) == hash(y) and x != root5
+    assert x != (ctx, x.num, x.den, x.ext_num, x.ext_den, x.radicand)
+    for z in (x, ctx):
+        assert pickle.loads(pickle.dumps(z)) == z
+        assert copy.deepcopy(z) == z and copy.copy(z) == z
+    for mutate in (lambda: setattr(x, "den", 2), lambda: delattr(x, "num"),
+                   lambda: setattr(x, "other", 1), lambda: setattr(ctx, "L", 6)):
+        with pytest.raises(AttributeError):
+            mutate()
+    with pytest.raises(TypeError):
+        x + (1, 2)
+
+
 # -- ring operations ---------------------------------------------------------
 
 @st.composite

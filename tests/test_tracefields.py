@@ -1,7 +1,6 @@
 """Path-vector worksheets, the determinant invariants, and squarefree
 reduction of the invariant trace field."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -140,7 +139,7 @@ def test_disconnected_diagram_rejected():
     gram = [list(r) for r in p.gram]
     for i in range(5):  # cut face 6 off
         gram[i][5] = gram[5][i] = zero
-    cut = dataclasses.replace(p, gram=tuple(tuple(r) for r in gram))
+    cut = p._replace(gram=tuple(tuple(r) for r in gram))
     for strategy in ("bfs", "random"):
         with pytest.raises(DomainError, match="disconnected"):
             build_worksheet(cut, strategy)
