@@ -25,7 +25,7 @@ from .arithmeticity import (arithmetic_sweep, certificate_json_dict,
 from .classify import (arithmetic_status, classification_rows,
                        classify_geometry, commensurable, is_valid_type,
                        minimal_orbifold_degree, normalize_type, rows_to_csv)
-from .coxeter import (build_presentation, build_hyperbolic_presentation,
+from .coxeter import (Edge, build_presentation, build_hyperbolic_presentation,
                       build_spherical_presentation,
                       presentation_json_dict, rank_and_signature)
 from .errors import DomainError, VerificationError
@@ -272,18 +272,19 @@ def _geometry_reports(m, n, samples, seed):
     gram_err = float(abs(r.recomputed_gram() - r.gram).max())
     reports.append({"check": "gram_roundtrip", "max_error": gram_err,
                     "pass": gram_err < 1e-9})
-    angle_err = 0.0
+    angle_err, kinds_match = 0.0, True
     edges = {(e.i, e.j): e for e in p.edges}
     for i, j, kind, value in realized_angles(r):
-        e = edges.get((i, j))
-        if e is None:  # no diagram edge: a right angle
-            angle_err = max(angle_err, abs(value - pi / 2))
+        # no diagram edge: a right angle
+        e = edges.get((i, j)) or Edge(i, j, "angle", order=2)
+        if kind != e.kind:
+            kinds_match = False
         elif kind == "angle":
             angle_err = max(angle_err, abs(value - pi / e.order))
         elif kind == "ultraparallel":
             angle_err = max(angle_err, abs(value - e.cosh_dist.approx()))
     reports.append({"check": "dihedral_labels", "max_error": angle_err,
-                    "pass": angle_err < 1e-9})
+                    "pass": kinds_match and angle_err < 1e-9})
     if p.family == "hyperbolic":
         am, an = tiling_angles(m, n)
         oracle = tiling_angle_oracle(m, n)

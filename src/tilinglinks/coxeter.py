@@ -234,37 +234,34 @@ def solve_ultraparallel_by_minor(m: int, n: int):
     """Solve for the two unknown ultraparallel entries from singular minors.
 
     The rank-4 constraint forces the 5x5 minor omitting row/column 5 (resp. 4)
-    to be singular.  Each minor determinant is a quadratic A*x^2 + B*x + C in
-    the unknown cosh-distance x with B = 0, so x^2 = -C/A.  The closed form
-    x = c/sqrt(D), c = cos(pi/m) (resp. n), is certified by the
-    cross-multiplied identity -C*D == A*c^2 and c > 0, all inside K0, and
-    the cached closed-form values are returned.
+    to be singular.  Its row and column of face 6 are (0, 0, 0, -2x, 2), x
+    the unknown cosh-distance, so the bordered expansion gives A*x^2 + C
+    with C = 2 det G[F1..F4] (F5 for F4 in the other minor) and
+    A = -4 det G[F1..F3]: x^2 = -C/A.  The full minor at x = 1, which must
+    equal C + A, witnesses that expansion.  The closed form x = c/sqrt(D),
+    c = cos(pi/m) (resp. n), is certified by the cross-multiplied identity
+    -C*D == A*c^2 and c > 0, all inside K0, and the cached closed-form
+    values are returned.
     """
     gram = build_hyperbolic_presentation(m, n).gram
     ctx, cm, cn, D, _, _, Cmn, Cnm = _hyperbolic_cosh_data(m, n)
 
-    def minor_rows(keep, x_val):
-        # the Gram minor with the surviving ultraparallel entry, (4,6) or
-        # (5,6), set to -2*x_val; the other one sits in the removed
-        # row/column
-        i = 3 if 3 in keep else 4
-        rows = [list(r) for r in gram]
-        rows[i][5] = rows[5][i] = -2 * x_val
-        return [[rows[r][c] for c in keep] for r in keep]
+    def minor(keep):
+        return [[gram[r][c] for c in keep] for r in keep]
 
-    for keep, cosval in (((0, 1, 2, 3, 5), cm), ((0, 1, 2, 4, 5), cn)):
-        dets = {}
-        for t in (0, 1, -1):
-            x = AlgebraicNumber.rational(ctx, t)
-            dets[t] = exact_det(minor_rows(keep, x))
-        A = (dets[1] + dets[-1]) / 2 - dets[0]
-        B = (dets[1] - dets[-1]) / 2
-        if not B.is_zero:
-            raise VerificationError("minor determinant has a linear term")
-        if A.is_zero:
-            raise VerificationError("minor determinant does not depend on the unknown")
+    A = -4 * exact_det(minor((0, 1, 2)))
+    if A.is_zero:
+        raise VerificationError("minor determinant does not depend on the unknown")
+    for face, cosval in ((3, cm), (4, cn)):
+        C = 2 * exact_det(minor((0, 1, 2, face)))
+        # the full minor with the surviving ultraparallel entry at x = 1
+        rows = minor((0, 1, 2, face, 5))
+        rows[3][4] = rows[4][3] = AlgebraicNumber.rational(ctx, -2)
+        if exact_det(rows) != C + A:
+            raise VerificationError(
+                "minor determinant at x = 1 disagrees with its bordered expansion")
         # x^2 = -C/A against (c/sqrt(D))^2 = c^2/D, both sides times A*D
-        if -dets[0] * D != A * cosval * cosval:
+        if -C * D != A * cosval * cosval:
             raise VerificationError(
                 "closed-form cosh value does not satisfy the singular-minor equation")
         # sqrt(D) > 0, so c/sqrt(D) has the sign of c
@@ -374,30 +371,39 @@ def diagram_adjacency(p: CoxeterPresentation) -> list[list[bool]]:
             for i in range(p.size)]
 
 
+def _walk_product(p: CoxeterPresentation, faces) -> AlgebraicNumber:
+    """The product of `p.gram` entries along the walk `faces` (0-based),
+    which neither begins nor ends at face 6, taken in K0 on `p._exact_gram`.
+
+    S*G*S scales the entries of face 6, which only the hyperbolic diagram
+    has, by sqrt(D); a walk crosses two of them at each visit, so the
+    product is multiplied by D^-1 once per visit.  No factor carries sqrt(D).
+    """
+    g = p._exact_gram
+    val = g[faces[0]][faces[1]]
+    for a, b in zip(faces[1:], faces[2:]):
+        val = val * g[a][b]
+    for _ in range(faces.count(5)):
+        val = val * _hyperbolic_cosh_data(p.m, p.n)[4]
+    return val
+
+
 def enumerate_cyclic_products(p: CoxeterPresentation):
     """All cyclic products b_I over simple cycles of the diagram, including
     every 2-cycle a_ij * a_ji; deterministic order (by length, then faces).
 
-    The products run on `p._exact_gram`, S*G*S for a hyperbolic presentation.
-    A cycle visits each of its faces through two entries, so a cycle through
-    face 6, which only the hyperbolic diagram has, picks up sqrt(D) twice: its
-    product on S*G*S is D times the one on G, and is multiplied once by D^-1.
-    No factor carries sqrt(D).
+    Each product is `_walk_product` of the closed walk from the cycle's
+    least face, which is never face 6, so every one lies in K0.
     """
     s = p.size
     adj = diagram_adjacency(p)
-    g = p._exact_gram
 
-    def unscaled(faces, val):
-        if 6 in faces:
-            val = val * _hyperbolic_cosh_data(p.m, p.n)[4]
-        return faces, val
+    def product(cycle):
+        return (tuple(c + 1 for c in cycle),
+                _walk_product(p, cycle + (cycle[0],)))
 
-    out = []
-    for i in range(s):
-        for j in range(i + 1, s):
-            if adj[i][j]:
-                out.append(unscaled((i + 1, j + 1), g[i][j] * g[j][i]))
+    out = [product((i, j)) for i in range(s) for j in range(i + 1, s)
+           if adj[i][j]]
 
     # simple cycles of length >= 3, canonical: starts at its minimum vertex,
     # second vertex smaller than last (kills reflections)
@@ -407,11 +413,7 @@ def enumerate_cyclic_products(p: CoxeterPresentation):
             if nxt in visited or not adj[last][nxt]:
                 continue
             if len(path) >= 2 and adj[nxt][path[0]] and path[1] < nxt:
-                cycle = path + [nxt]
-                val = g[cycle[-1]][cycle[0]]
-                for a, b in zip(cycle, cycle[1:]):
-                    val = val * g[a][b]
-                cycles.append(unscaled(tuple(c + 1 for c in cycle), val))
+                cycles.append(product(tuple(path) + (nxt,)))
             extend(path + [nxt], visited | {nxt})
 
     cycles = []

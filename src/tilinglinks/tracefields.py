@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .coxeter import (CoxeterPresentation, diagram_adjacency,
+from .coxeter import (CoxeterPresentation, _walk_product, diagram_adjacency,
                       enumerate_cyclic_products, exact_det)
 from .errors import DomainError, VerificationError
 from .fields import AlgebraicNumber, as_json_dict, is_rational
@@ -28,7 +28,7 @@ from .fields import AlgebraicNumber, as_json_dict, is_rational
 class TraceFieldWorksheet(NamedTuple):
     presentation: CoxeterPresentation
     paths: tuple[tuple[int, ...], ...]      # diagram path from F1 to each face
-    coeffs: tuple[AlgebraicNumber, ...]     # c_r = product of entries on path
+    coeffs: tuple[AlgebraicNumber, ...]     # c_r of the basis faces F1..F4
     basis: tuple[int, ...]                  # four face indices (1-based)
     gprime: tuple[tuple[AlgebraicNumber, ...], ...]
     det: AlgebraicNumber
@@ -85,7 +85,7 @@ def _tree_paths(p, rng=None):
 
 def build_worksheet(p: CoxeterPresentation, strategy: str = "bfs",
                     seed: int = 0) -> TraceFieldWorksheet:
-    """Path coefficients, the basis F1..F4, and the 4x4 inner-product matrix.
+    """Path coefficients of the basis F1..F4 and its 4x4 inner-product matrix.
 
     strategy "bfs" uses breadth-first paths with lowest-index tie-breaking;
     "random" draws a random spanning tree (seeded), which exercises the
@@ -96,30 +96,27 @@ def build_worksheet(p: CoxeterPresentation, strategy: str = "bfs",
     paths = _tree_paths(p, random.Random(seed) if strategy == "random"
                         else None)
 
-    coeffs = []
-    for path in paths:
-        c = p.gram[0][0] if len(path) == 1 else None
-        if c is None:
-            c = p.gram[path[0]][path[1]]
-            for a, b in zip(path[1:], path[2:]):
-                c = c * p.gram[a][b]
-        coeffs.append(c)
+    # c_r for the basis F1..F4 only, which is all det G' reads: c_1 = a_11,
+    # and no other basis path ends at face 6, so every c_r lies in K0
+    g = p._exact_gram
+    coeffs = (g[0][0],) + tuple(_walk_product(p, path) for path in paths[1:4])
 
-    # basis F1..F4: with a = 2cos(pi/m) and b = 2cos(pi/n), that block of
-    # the Gram matrix is [[2, -a, -b, 0], [-a, 2, 0, -2], [-b, 0, 2, 0],
-    # [0, -2, 0, 2]] in both families; adding row 4 to row 2 leaves
-    # (-a, 0, 0, 0) there, and the expansion along it gives
-    # det = -4a^2 = -16cos^2(pi/m) != 0.  det G' is that times the squares
-    # of the c_r, each a product of nonzero entries, so only a hand-built
-    # Gram can make it vanish
-    gp = tuple(tuple(coeffs[i] * coeffs[j] * p.gram[i][j] for j in range(4))
+    # G' = C B C, with C = diag(c_r) and B the Gram block of F1..F4, so
+    # det G' = det B * prod(c_r^2), and G' has diagonal 2c_r^2.  With
+    # a = 2cos(pi/m) and b = 2cos(pi/n), B is [[2, -a, -b, 0],
+    # [-a, 2, 0, -2], [-b, 0, 2, 0], [0, -2, 0, 2]] in both families; adding
+    # row 4 to row 2 leaves (-a, 0, 0, 0) there, and the expansion along it
+    # gives det B = -4a^2 = -16cos^2(pi/m) != 0.  Each c_r is a product of
+    # nonzero entries, so only a hand-built Gram can make det G' vanish
+    gp = tuple(tuple(coeffs[i] * g[i][j] * coeffs[j] for j in range(4))
                for i in range(4))
-    det = exact_det(gp)
+    det = (exact_det([row[:4] for row in g[:4]]) * gp[0][0] * gp[1][1]
+           * gp[2][2] * gp[3][3] / 16)
     if det.is_zero:
         raise VerificationError("worksheet matrix is singular")
     return TraceFieldWorksheet(
         p, tuple(tuple(x + 1 for x in path) for path in paths),
-        tuple(coeffs), (1, 2, 3, 4), gp, det)
+        coeffs, (1, 2, 3, 4), gp, det)
 
 
 def squarefree_part(value: Fraction) -> tuple[Fraction, int]:

@@ -229,6 +229,28 @@ def test_basin_check_without_evidence_fails(monkeypatch):
     assert "violations=0 samples=50 FAIL" in out and "PASS" not in out
 
 
+@pytest.mark.parametrize("pair,kind", [
+    ((1, 2), "ideal"),   # an angle edge realized as ideal
+    ((2, 4), "angle"),   # an ideal edge realized as an angle
+    ((4, 6), "angle"),   # an ultraparallel edge realized as an angle
+])
+def test_dihedral_kind_mismatch_fails(monkeypatch, capsys, pair, kind):
+    real = lorentz.realized_angles
+
+    def mislabelled(r):
+        return [(i, j, kind, 0.0 if kind == "ideal" else 1.0)
+                if (i, j) == pair else (i, j, k, v)
+                for i, j, k, v in real(r)]
+
+    monkeypatch.setattr(lorentz, "realized_angles", mislabelled)
+    code, out = run_cli("geometry-verify", "--m", "7", "--n", "4",
+                        "--samples", "50", "--format", "json")
+    assert code == 3 and capsys.readouterr().err == ""
+    doc = json.loads(out)
+    labels = [r for r in doc["reports"] if r["check"] == "dihedral_labels"]
+    assert doc["all_pass"] is False and labels[0]["pass"] is False
+
+
 def test_out_file_unwritable_exit_2(tmp_path, capsys):
     code, out = run_cli("gram", "6", "4",
                         "--out", str(tmp_path / "missing" / "x.txt"))

@@ -184,6 +184,20 @@ def test_minor_solution_54():
     assert p.gram[3][5] == -2 * c_mn and p.gram[4][5] == -2 * c_nm
 
 
+def test_minor_witness_rejects_a_broken_border(monkeypatch):
+    # the bordered expansion reads the face-6 row of each minor as
+    # (0, 0, 0, -2x, 2); a nonzero G[F2][F6] breaks that, and the full
+    # minor at x = 1 no longer equals C + A
+    p = build_hyperbolic_presentation(7, 4)
+    gram = [list(r) for r in p.gram]
+    gram[1][5] = gram[5][1] = AlgebraicNumber.rational(p.ctx, -1)
+    broken = p._replace(gram=tuple(tuple(r) for r in gram))
+    monkeypatch.setattr(coxeter, "build_hyperbolic_presentation",
+                        lambda m, n: broken)
+    with pytest.raises(VerificationError, match="x = 1"):
+        solve_ultraparallel_by_minor(7, 4)
+
+
 def test_minor_rejects_non_hyperbolic():
     with pytest.raises(GeometryError):
         solve_ultraparallel_by_minor(4, 4)
@@ -509,7 +523,8 @@ def test_cyclic_products_match_path_product_reference():
             (p.m, p.n)
 
 
-@pytest.mark.parametrize("m,n", UNORDERED_12 + [(31, 11)])
+@pytest.mark.parametrize(
+    "m,n", UNORDERED_12 + [(31, 11), (47, 49), (49, 47), (46, 47)])
 def test_minor_equals_closed_form_up_to_12(m, n):
     c_mn, c_nm = solve_ultraparallel_by_minor(m, n)
     p = build_hyperbolic_presentation(m, n)

@@ -73,6 +73,24 @@ def test_worksheet_basis_block():
         assert w.det == exact_det(block) * scale, (p.m, p.n)
 
 
+@pytest.mark.parametrize("m,n", [(6, 4), (6, 6), (46, 47), (49, 47)])
+def test_worksheets_stay_in_k0(m, n):
+    # no basis path ends at face 6, so on every tree, at every degree, the
+    # four coefficients and det G' lie in K0, and det G' is the basis
+    # block's determinant times the squared coefficients
+    p = build_hyperbolic_presentation(m, n)
+    block = exact_det([row[:4] for row in p.gram[:4]])
+    want = {}  # by coefficients: seeds that share a basis tree repeat them
+    for strategy, seed in [("bfs", 0)] + [("random", s) for s in range(12)]:
+        w = build_worksheet(p, strategy, seed)
+        assert len(w.coeffs) == 4
+        assert all(x.ext_num is None for x in w.coeffs + (w.det,))
+        if w.coeffs not in want:
+            c = w.coeffs[0] * w.coeffs[1] * w.coeffs[2] * w.coeffs[3]
+            want[w.coeffs] = block * c * c
+        assert w.det == want[w.coeffs], (strategy, seed)
+
+
 def test_diagonal_determinant_trivial_case():
     ctx = make_context(2)
     diag = [[AlgebraicNumber.rational(ctx, (i + 1) if i == j else 0)
