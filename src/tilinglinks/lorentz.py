@@ -455,14 +455,19 @@ def edge_midpoint(cell: IdealCell, i: int, j: int) -> np.ndarray:
 
 # -- sampling verification ---------------------------------------------------
 
-# Halton points drawn per pass of the basin sampler.  Per-pass arrays are
-# (points x vertices), so memory does not grow with the sample count.
+# Candidate Halton indices evaluated per pass of the basin sampler, about:
+# a pass's arrays are at most about (BASIN_BATCH x vertices), so memory does
+# not grow with the sample count.
 BASIN_BATCH = 8192
 # A basin check passes only if at most this fraction of its samples was
 # skipped (near a wall or with an ambiguous sign pattern).
 MAX_SKIP_FRACTION = 0.01
 # Size bound of the per-base table of low-digit radical inverses.
 HALTON_TABLE = 1 << 14
+# (base, digits) of each ball coordinate's grid: 32 x 27 x 25 boxes, one per
+# residue of the Halton index mod HALTON_PERIOD (see _halton_residues).
+HALTON_GRID = ((2, 5), (3, 3), (5, 2))
+HALTON_PERIOD = 2**5 * 3**3 * 5**2
 
 
 @lru_cache(maxsize=None)
@@ -486,32 +491,114 @@ def _halton_low_digits(base):
     return out, span, f
 
 
-def _halton(count, start, base):
-    """Radical inverses of start..start+count-1 in `base`.
+def _halton(start, offsets, base):
+    """Radical inverses in `base` of the indices start + offsets, for an
+    int `start` of any size and sorted non-negative int64 `offsets`.
 
     Each is the sum over its digits, lowest first, of digit * base**-k with
     the weight formed by repeated division.  The low digits come from a
-    table; the high ones are the same over each run of `span` consecutive
-    indices, so they are added run by run.
+    table; the high ones are the same over each run of indices that agree
+    past the table's `span`, so they are added run by run.
     """
     table, span, f_low = _halton_low_digits(base)
     high, low = divmod(start, span)
-    out = table[np.arange(low, low + count) % span]
-    for k in range((low + count - 1) // span + 1):
-        run = slice(max(0, k * span - low), (k + 1) * span - low)
+    run, pos = np.divmod(offsets + low, span)
+    out = table[pos]
+    runs, begins = np.unique(run, return_index=True)
+    for k, b, e in zip(runs.tolist(), begins.tolist(),
+                       [*begins[1:].tolist(), len(run)]):
         x, f = high + k, f_low
         while x:
             f /= base
             x, digit = divmod(x, base)
-            out[run] += f * digit
+            out[b:e] += f * digit
+    return out
+
+
+def _digit_reversal(base, digits):
+    """rev[r] = r with its `digits` base-`base` digits in reverse order."""
+    idx = np.arange(base ** digits)
+    rev = np.zeros_like(idx)
+    for _ in range(digits):
+        idx, digit = np.divmod(idx, base)
+        rev = rev * base + digit
+    return rev
+
+
+@lru_cache(maxsize=32)
+def _halton_residues(normals_bytes):
+    """Sorted residues mod HALTON_PERIOD of the Halton indices whose point
+    can pass _interior_points' filter for the cell with these face normals
+    (the float64 bytes of `cell.normals`, rows of 4).
+
+    Digit reversal: phi_b(i) lies in [j/b^t, (j+1)/b^t) exactly when
+    i mod b^t = rev_t(j).  So each box of the HALTON_GRID in ball
+    coordinates x = 2 phi - 1 is the set of indices with one residue mod
+    each b^t, i.e. (Chinese remainder theorem) one residue mod
+    HALTON_PERIOD.  A box is dropped only when every point of it provably
+    fails the filter: min |p|^2 >= 0.96 over it, or, for some face normal
+    e = (e', e4), f_e(p) = 2 e'.p - e4 (1 + |p|^2) is positive all over it.
+    f_e carries the sign of <X, e> for the point X of p, since
+    <X, e> = f_e(p) / (1 - |p|^2).  f_e is a sum of one quadratic per
+    coordinate, so its minimum over a box is exact: per axis, the least of
+    the two ends and the clipped vertex.
+
+    Margins, against float rounding: the drawn coordinate 2 fl(phi) - 1 is
+    within 1e-15 of the exact one, so boxes are padded by 1e-9.  The filter
+    evaluates |p|^2 to about 1e-16, so the radius test keeps a box up to
+    0.96 + 1e-9.  It evaluates <X, e> with |X| < 49 (where |p|^2 < 0.96)
+    to within about 1e-12 (1 + sum |e_k|); a box is dropped for face e only
+    when min f_e >= 1e-9 (1 + sum |e_k|), where <X, e> >= f_e is at least
+    that large, so such a point fails the filter in floats too.
+    """
+    normals = np.frombuffer(normals_bytes).reshape(-1, 4)
+    axes = []
+    for base, digits in HALTON_GRID:
+        n = base ** digits
+        j = np.arange(n + 1) * 2 / n - 1  # the n + 1 box ends on this axis
+        axes.append((j[:-1] - 1e-9, j[1:] + 1e-9))
+
+    def box_sum(per_axis):
+        a, b, c = per_axis
+        return a[:, None, None] + b[None, :, None] + c[None, None, :]
+
+    keep = box_sum([np.where((lo <= 0) & (hi >= 0), 0.0,
+                             np.minimum(lo * lo, hi * hi))
+                    for lo, hi in axes]) < 0.96 + 1e-9
+    for e in normals:
+        e4 = e[3]
+        mins = []
+        for ek, (lo, hi) in zip(e[:3], axes):
+            def g(p):
+                return (2 * ek - e4 * p) * p
+            m = np.minimum(g(lo), g(hi))
+            if e4 < 0:  # convex: the vertex ek / e4 may lie inside
+                m = np.minimum(m, g(np.clip(ek / e4, lo, hi)))
+            mins.append(m)
+        keep &= box_sum(mins) - e4 < 1e-9 * (1 + np.abs(e).sum())
+    idx = np.arange(HALTON_PERIOD)
+    box = tuple(_digit_reversal(base, digits)[idx % base ** digits]
+                for base, digits in HALTON_GRID)
+    out = np.flatnonzero(keep[box])
+    out.flags.writeable = False  # shared by every caller through the cache
     return out
 
 
 def _interior_points(cell, start, count):
     """Unit hyperboloid points for the Halton indices start..start+count-1
-    that fall inside the cell, in index order."""
-    pts = np.stack([_halton(count, start, 2), _halton(count, start, 3),
-                    _halton(count, start, 5)], axis=1) * 2 - 1
+    that fall inside the cell, in index order.
+
+    Only the indices whose residue mod HALTON_PERIOD is in the cell's
+    _halton_residues are drawn; every other index provably fails the
+    filter, so the points are those of filtering the whole range.
+    """
+    residues = _halton_residues(cell.normals.tobytes())
+    first = np.sort((residues - start % HALTON_PERIOD) % HALTON_PERIOD)
+    periods = np.arange(-(-count // HALTON_PERIOD)) * HALTON_PERIOD
+    offsets = (periods[:, None] + first).ravel()
+    offsets = offsets[:np.searchsorted(offsets, count)]
+    pts = np.stack([_halton(start, offsets, base)
+                    for base, _ in HALTON_GRID], axis=1) * 2 - 1
     r2 = np.einsum("ij,ij->i", pts, pts)
     pts = pts[r2 < 0.96]
     r2 = np.einsum("ij,ij->i", pts, pts)
@@ -553,15 +640,16 @@ def verify_basins(cell: IdealCell, samples: int = 10000,
     """Check that the nearest horoball agrees with the basin cut out by the
     symmetry planes, over quasi-random interior points.
 
-    Points come from a Halton sequence in a box containing the cell (in ball
-    coordinates), rejection-filtered to the interior; `seed` offsets the
-    sequence.  The first `samples` interior points are used, drawn
-    BASIN_BATCH at a time.  A sample is skipped, and counted by reason, when
-    its top-two horoball distance gap is below WALL_SKIP_TOL
-    (`skipped_near_wall`; `max_margin_at_walls` is the largest such gap) or
-    when its reflection signs place it in no basin or in more than one
-    (`skipped_ambiguous`).  Every other sample is kept, and is a violation
-    when its basin is not its nearest horoball.
+    Points come from a Halton sequence in the ball model's cube [-1, 1]^3,
+    filtered to the cell's interior; `seed` offsets the sequence.  The first
+    `samples` interior points are used.  The sequence is walked in windows
+    sized so that each evaluates about BASIN_BATCH candidate indices: those
+    whose grid box can meet the cell (_halton_residues).  A sample is
+    skipped, and counted by reason, when its top-two horoball distance gap
+    is below WALL_SKIP_TOL (`skipped_near_wall`; `max_margin_at_walls` is
+    the largest such gap) or when its reflection signs place it in no basin
+    or in more than one (`skipped_ambiguous`).  Every other sample is kept,
+    and is a violation when its basin is not its nearest horoball.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
@@ -575,9 +663,11 @@ def verify_basins(cell: IdealCell, samples: int = 10000,
     done = viol = near_wall = ambiguous = 0
     max_margin = 0.0
     start = 1 + seed * 1_000_003
+    per_period = len(_halton_residues(cell.normals.tobytes()))
+    window = max(1, HALTON_PERIOD * BASIN_BATCH // max(1, per_period))
     while done < samples:
-        X = _interior_points(cell, start, BASIN_BATCH)[:samples - done]
-        start += BASIN_BATCH
+        X = _interior_points(cell, start, window)[:samples - done]
+        start += window
         done += len(X)
         prox = -(X @ J @ w.T)          # -<x, w_i>, monotone in distance
         # the two smallest values; where their gap is kept, the nearest

@@ -159,6 +159,46 @@ def test_geometry_verify_pair():
     assert {"gram_roundtrip", "dihedral_labels", "gluing_angles"} <= checks
 
 
+def _clean_basin_report(cell, samples, seed, check=True):
+    # geometry-verify names each check; report's geometry_checks do not
+    return {**({"check": f"{cell}_basins"} if check else {}),
+            "cell": cell, "max_margin_at_walls": 0.0, "pass": True,
+            "samples": samples, "seed": seed, "skipped": 0,
+            "skipped_ambiguous": 0, "skipped_near_wall": 0,
+            "tolerance": 1e-08, "violations": 0}
+
+
+# the basin reports of seeded runs, as the sampler gave them when it still
+# drew every Halton index (the other checks' max_error floats depend on BLAS)
+_BASIN_GOLDENS = [
+    (("geometry-verify", "--cell", "tetrahedron", "--cell", "octahedron",
+      "--m", "5", "--n", "7", "--samples", "10000", "--seed", "5"),
+     [_clean_basin_report(c, 10000, 5)
+      for c in ("tetrahedron", "octahedron", "drum(5)", "drum(7)")]),
+    (("geometry-verify", "--m", "50", "--n", "49", "--samples", "3000",
+      "--seed", "999"),
+     [_clean_basin_report(c, 3000, 999) for c in ("drum(49)", "drum(50)")]),
+    (("report", "--bound", "12", "--with-geometry", "--seed", "0"),
+     [_clean_basin_report(c, 2000, 0, check=False)
+      for c in ("tetrahedron", "octahedron", "(6,6) drum(6)",
+                "(6,4) drum(4)", "(6,4) drum(6)")]),
+    (("geometry-verify", "--cell", "octahedron", "--samples", "2000",
+      "--seed", str(10**20)),
+     [_clean_basin_report("octahedron", 2000, 10**20)]),
+]
+
+
+@pytest.mark.parametrize("argv,reports", _BASIN_GOLDENS,
+                         ids=[" ".join(a) for a, _ in _BASIN_GOLDENS])
+def test_basin_reports_golden(argv, reports):
+    code, out = run_cli(*argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    got = doc["reports"] if argv[0] == "geometry-verify" \
+        else doc["geometry_checks"]
+    assert [r for r in got if "violations" in r] == reports
+
+
 def test_geometry_verify_requires_target():
     code, _ = run_cli("geometry-verify")
     assert code == 2

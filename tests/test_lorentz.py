@@ -12,8 +12,9 @@ from tilinglinks.coxeter import (build_hyperbolic_presentation,
                                  build_presentation,
                                  build_spherical_presentation)
 from tilinglinks.errors import DomainError, GeometryError
-from tilinglinks.lorentz import (J, WALL_SKIP_TOL, CanonicalCheckReport,
-                                 _halton,
+from tilinglinks.lorentz import (HALTON_PERIOD, J, WALL_SKIP_TOL,
+                                 CanonicalCheckReport, _halton,
+                                 _halton_residues, _interior_points,
                                  build_drum, build_platonic_cell,
                                  classify_point, drum_symmetries_ok,
                                  edge_midpoint, horoball_distance, mdot,
@@ -449,8 +450,24 @@ def _reference_halton(count, start, base):
 def test_halton_matches_digit_loop(start):
     for count in (1, 7, 8192, 40000):
         for base in (2, 3, 5):
-            got = _halton(count, start, base)
+            got = _halton(start, np.arange(count), base)
             assert got.tobytes() == _reference_halton(count, start, base).tobytes()
+
+
+def full_scan_interior_points(cell, start, count):
+    """_interior_points as a filter over every index of the window, kept as
+    its reference: the sampler before it skipped the grid boxes that miss
+    the cell."""
+    # _halton is checked digit for digit against _reference_halton
+    pts = np.stack([_halton(start, np.arange(count), 2),
+                    _halton(start, np.arange(count), 3),
+                    _halton(start, np.arange(count), 5)], axis=1) * 2 - 1
+    r2 = np.einsum("ij,ij->i", pts, pts)
+    pts = pts[r2 < 0.96]
+    r2 = np.einsum("ij,ij->i", pts, pts)
+    X = np.hstack([2 * pts / (1 - r2)[:, None],
+                   ((1 + r2) / (1 - r2))[:, None]])
+    return X[np.all(X @ J @ cell.normals.T < -1e-12, axis=1)]
 
 
 def reference_basins(cell, samples, seed):
@@ -464,16 +481,8 @@ def reference_basins(cell, samples, seed):
     start = 1 + seed * 1_000_003
     batch = max(4 * samples, 20000)
     while kept + near_wall + ambiguous < samples:
-        # _halton is checked digit for digit against _reference_halton
-        pts = np.stack([_halton(batch, start, 2), _halton(batch, start, 3),
-                        _halton(batch, start, 5)], axis=1) * 2 - 1
+        X = full_scan_interior_points(cell, start, batch)
         start += batch
-        r2 = np.einsum("ij,ij->i", pts, pts)
-        pts = pts[r2 < 0.96]
-        r2 = np.einsum("ij,ij->i", pts, pts)
-        X = np.hstack([2 * pts / (1 - r2)[:, None],
-                       ((1 + r2) / (1 - r2))[:, None]])
-        X = X[np.all(X @ J @ cell.normals.T < -1e-12, axis=1)]
         prox = -(X @ J @ w.T)
         side = X @ J @ cell.reflections.T
         for row in range(len(X)):
@@ -543,6 +552,67 @@ def test_basins_match_per_sample_reference(name, samples):
     for seed in (0, 3, 999):
         assert verify_basins(cell, samples, seed) \
             == reference_basins(cell, samples, seed), (name, samples, seed)
+
+
+@pytest.mark.parametrize("start", [1, 1 + 3 * 1_000_003, 2**40 + 17,
+                                   2**70 + 5])
+@pytest.mark.parametrize("name", sorted(REFERENCE_CELLS))
+def test_interior_points_match_full_scan(name, start):
+    # windows shorter than, just over and several times HALTON_PERIOD
+    cell = REFERENCE_CELLS[name]()
+    for count in (1, 777, HALTON_PERIOD + 5, 5 * HALTON_PERIOD - 3):
+        assert _interior_points(cell, start, count).tobytes() \
+            == full_scan_interior_points(cell, start, count).tobytes(), count
+
+
+def test_interior_points_follow_changed_normals():
+    # the residue table is cached by the normals, not by the cell's kind
+    octahedron = build_platonic_cell("octahedron")
+    tetrahedron = build_platonic_cell("tetrahedron")
+    first = _interior_points(octahedron, 1, 50000)
+    assert len(first) > 0
+    swapped = dataclasses.replace(octahedron, normals=tetrahedron.normals)
+    got = _interior_points(swapped, 1, 50000)
+    assert got.tobytes() == full_scan_interior_points(swapped, 1, 50000).tobytes()
+    assert got.tobytes() == _interior_points(tetrahedron, 1, 50000).tobytes()
+    assert got.tobytes() != first.tobytes()
+    # <X, e'> = (<X, e> - X4) / 2 < <X, e> / 2: more points pass face 0
+    normals = octahedron.normals.copy()
+    normals[0] = normals[0] * 0.5 + np.array([0.0, 0.0, 0.0, 0.5])
+    moved = dataclasses.replace(octahedron, normals=normals)
+    got = _interior_points(moved, 1, 50000)
+    assert got.tobytes() == full_scan_interior_points(moved, 1, 50000).tobytes()
+    assert len(got) > len(first)
+    # face 0 reversed (e4 < 0): the region beyond it, where the box minimum
+    # of f_e can sit at the vertex of a convex quadratic
+    normals = octahedron.normals.copy()
+    normals[0] = -normals[0]
+    beyond = dataclasses.replace(octahedron, normals=normals)
+    got = _interior_points(beyond, 1, 50000)
+    assert got.tobytes() == full_scan_interior_points(beyond, 1, 50000).tobytes()
+    assert len(got) > 0
+
+
+def test_residue_table_keeps_box_of_interior_minimum():
+    # one face with e4 < 0: its side {f_e < 0} is the ball of radius
+    # r = 1/|e4| about p* = e'/e4, just outside the unit ball.  The box
+    # holding q, deep in that cap, has p*'s first two coordinates inside it,
+    # where the minimum of f_e sits; its ends alone would drop the box.
+    r = 0.03
+    direction = np.array([1 / 32, 0.0, 1.0])
+    p_star = direction / np.linalg.norm(direction) * sqrt(1 + r * r)
+    e = np.array([*(-p_star / r), -1 / r])
+    assert abs(mdot(e, e) - 1) < 1e-9
+    q = p_star * (1 - 0.8 * r / np.linalg.norm(p_star))
+    assert q @ q < 0.96 and 2 * e[:3] @ q - e[3] * (1 + q @ q) < 0
+    # the residue of q's box: the one index below HALTON_PERIOD in that box
+    grid = np.array([32, 27, 25])
+    pts = np.stack([_halton(0, np.arange(HALTON_PERIOD), base)
+                    for base in (2, 3, 5)], axis=1) * 2 - 1
+    boxes = np.floor((pts + 1) / 2 * grid)
+    index = np.flatnonzero((boxes == np.floor((q + 1) / 2 * grid)).all(axis=1))
+    assert len(index) == 1
+    assert index[0] in _halton_residues(e[None, :].tobytes())
 
 
 @pytest.mark.parametrize("make_cell", [
