@@ -32,8 +32,8 @@ from .errors import DomainError, VerificationError
 from .tracefields import invariant_trace_field, trace_field_json_dict
 
 MAX_PARAM = 50  # guard against runaway field degrees
-# a basin check of this many takes about 2 s on a Platonic cell and about
-# 12 s on drum(50), the largest drum (Python 3.11, 2 vCPUs)
+# a basin check of this many takes about 1 s on a Platonic cell and about
+# 2.5 s on drum(50), the largest drum (Python 3.11, 2 vCPUs)
 MAX_SAMPLES = 1_000_000
 _FORMATS = ("text", "json")
 
@@ -484,6 +484,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy's OpenBLAS starts a worker thread per core on import, a quarter
+    # of numpy's import time, but the float geometry's products are a few
+    # thousand rows by a few columns, too small to split.  A value the user
+    # has set wins.  It must be in place before the first numpy import.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

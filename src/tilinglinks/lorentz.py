@@ -649,7 +649,10 @@ def verify_basins(cell: IdealCell, samples: int = 10000,
     is below WALL_SKIP_TOL (`skipped_near_wall`; `max_margin_at_walls` is
     the largest such gap) or when its reflection signs place it in no basin
     or in more than one (`skipped_ambiguous`).  Every other sample is kept,
-    and is a violation when its basin is not its nearest horoball.
+    and is a violation when its basin is not its nearest horoball.  A
+    window that keeps no interior point raises VerificationError: about
+    BASIN_BATCH candidates all outside means a cell without an interior the
+    sampler can reach, so the walk would never end.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
@@ -657,9 +660,12 @@ def verify_basins(cell: IdealCell, samples: int = 10000,
         raise DomainError(f"seed must be >= 0, got {seed}")
     w = cell.horoballs
     signs = np.sign(np.round(cell.vertices @ J @ cell.reflections.T, 12))
-    # a point lies in vertex i's basin iff no plane separates their signs
-    pos = (signs > 0).T.astype(np.int64)
-    neg = (signs < 0).T.astype(np.int64)
+    # a point lies in vertex i's basin iff no plane separates their signs.
+    # The separating planes are counted in float32 so that the products run
+    # in BLAS; a count is a sum of at most (number of planes) ones, far
+    # below 2**24, so every partial sum is exact in any order.
+    pos = (signs > 0).T.astype(np.float32)
+    neg = (signs < 0).T.astype(np.float32)
     done = viol = near_wall = ambiguous = 0
     max_margin = 0.0
     start = 1 + seed * 1_000_003
@@ -667,17 +673,22 @@ def verify_basins(cell: IdealCell, samples: int = 10000,
     window = max(1, HALTON_PERIOD * BASIN_BATCH // max(1, per_period))
     while done < samples:
         X = _interior_points(cell, start, window)[:samples - done]
+        if not len(X):
+            raise VerificationError(
+                f"no interior point of {cell.kind} among the Halton indices "
+                f"{start}..{start + window - 1}")
         start += window
         done += len(X)
-        prox = -(X @ J @ w.T)          # -<x, w_i>, monotone in distance
+        XJ = X @ J                     # exact: J is diag(1, 1, 1, -1)
+        prox = -(XJ @ w.T)             # -<x, w_i>, monotone in distance
         # the two smallest values; where their gap is kept, the nearest
         # horoball is unique
         top2 = np.partition(prox, 1, axis=1)
         gap = np.log(top2[:, 1]) - np.log(top2[:, 0])
         wall = gap < WALL_SKIP_TOL
-        side = X @ J @ cell.reflections.T
-        basin = ((side < 0).astype(np.int64) @ pos
-                 + (side > 0).astype(np.int64) @ neg) == 0
+        side = XJ @ cell.reflections.T
+        basin = ((side < 0).astype(np.float32) @ pos
+                 + (side > 0).astype(np.float32) @ neg) == 0
         single = basin.sum(axis=1) == 1
         ok = single & ~wall
         near_wall += int(wall.sum())

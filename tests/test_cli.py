@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,6 +186,12 @@ _BASIN_GOLDENS = [
     (("geometry-verify", "--cell", "octahedron", "--samples", "2000",
       "--seed", str(10**20)),
      [_clean_basin_report("octahedron", 2000, 10**20)]),
+    # many passes at the largest plane x vertex count, as reported while the
+    # basin counts were int64 products
+    (("geometry-verify", "--cell", "tetrahedron", "--m", "50", "--n", "49",
+      "--samples", "100000", "--seed", "7"),
+     [_clean_basin_report(c, 100000, 7)
+      for c in ("tetrahedron", "drum(49)", "drum(50)")]),
 ]
 
 
@@ -236,6 +243,20 @@ def test_samples_above_cap_exit_2(monkeypatch, capsys):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.count(f"--samples must be <= {cli.MAX_SAMPLES}") == 2
+
+
+def test_cell_without_interior_exit_3(monkeypatch, capsys):
+    # the sampler's walk would never end: it gives up after one empty window
+    full = lorentz.build_platonic_cell("octahedron")
+    normals = full.normals.copy()
+    normals[1] = -normals[0]
+    hollow = dataclasses.replace(full, normals=normals)
+    monkeypatch.setattr(lorentz, "build_platonic_cell", lambda kind: hollow)
+    code, out = run_cli("geometry-verify", "--cell", "octahedron",
+                        "--samples", "10")
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err.startswith(
+        "error: verification: no interior point of octahedron")
 
 
 def test_negative_seed_exit_2():
@@ -563,7 +584,6 @@ print(json.dumps(loaded))
 def _probe_imports(module, argvs):
     """[exit code, whether `module` is loaded after it] for each argv, run
     in order in one fresh interpreter."""
-    import os
     import subprocess
     import sys
     src = os.path.dirname(os.path.dirname(tilinglinks.__file__))
@@ -600,6 +620,54 @@ def test_exact_commands_load_neither_dataclasses_nor_inspect():
              ["report", "--bound", "12", "--format", "json"]]
     for module in ("dataclasses", "inspect"):
         assert _probe_imports(module, argvs) == [[0, False]] * 7, module
+
+
+def _run_geometry(blas_threads, argv, probe=""):
+    """A fresh interpreter running cli.main(argv), then `probe`, with
+    OPENBLAS_NUM_THREADS set to `blas_threads` (None: unset)."""
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(tilinglinks.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("TILINGLINKS_FORMAT", None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    code = ("import sys\nfrom tilinglinks import cli\n"
+            f"code = cli.main({argv!r})\n{probe}\nsys.exit(code)")
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_main_defaults_to_one_blas_thread(monkeypatch):
+    # setenv first, so that the undo restores the variable's own state
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert run_cli("gram", "6", "4")[0] == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert run_cli("gram", "6", "4")[0] == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
+def test_geometry_output_independent_of_blas_threads():
+    argv = ["geometry-verify", "--m", "50", "--n", "49", "--samples", "3000",
+            "--seed", "999", "--format", "json"]
+    one, two = (_run_geometry(t, argv) for t in ("1", "2"))
+    assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+    assert one.stdout == two.stdout
+
+
+def test_geometry_command_runs_one_thread():
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no per-thread entries in /proc to count")
+    # numpy's OpenBLAS would start one thread per core on import
+    probe = ("import os\n"
+             "print(len(os.listdir('/proc/self/task')), file=sys.stderr)")
+    proc = _run_geometry(None, ["geometry-verify", "--cell", "tetrahedron",
+                                "--samples", "10", "--format", "json"], probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "1"
 
 
 def test_no_command_loads_mpmath():

@@ -11,7 +11,7 @@ import pytest
 from tilinglinks.coxeter import (build_hyperbolic_presentation,
                                  build_presentation,
                                  build_spherical_presentation)
-from tilinglinks.errors import DomainError, GeometryError
+from tilinglinks.errors import DomainError, GeometryError, VerificationError
 from tilinglinks.lorentz import (HALTON_PERIOD, J, WALL_SKIP_TOL,
                                  CanonicalCheckReport, _halton,
                                  _halton_residues, _interior_points,
@@ -648,6 +648,25 @@ def test_basins_count_violations_and_wall_skips():
     assert 0 < twin.max_margin_at_walls < WALL_SKIP_TOL
     assert twin.json_dict()["skipped_near_wall"] == twin.skipped
     assert not twin.passed
+
+
+def octahedron_without_interior():
+    # faces 0 and 1 bound opposite half-spaces: the residue table still
+    # keeps boxes that meet each face alone, but no point passes both
+    full = build_platonic_cell("octahedron")
+    normals = full.normals.copy()
+    normals[1] = -normals[0]
+    return dataclasses.replace(full, normals=normals)
+
+
+def test_basins_cell_without_interior_raises():
+    import time
+    cell = octahedron_without_interior()
+    assert len(_halton_residues(cell.normals.tobytes())) > 0
+    t0 = time.perf_counter()
+    with pytest.raises(VerificationError, match="no interior point"):
+        verify_basins(cell, samples=10, seed=0)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_basin_report_passed_needs_evidence():
