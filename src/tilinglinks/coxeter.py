@@ -20,6 +20,7 @@ NamedTuples; `_replace` makes a modified copy, with a fresh cache.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import copysign, hypot, lcm, sqrt
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -421,6 +422,56 @@ def enumerate_cyclic_products(p: CoxeterPresentation):
         extend([start], {start})
     cycles.sort(key=lambda t: (len(t[0]), t[0]))
     return out + cycles
+
+
+# -- the face lattice --------------------------------------------------------
+
+class Vertex(NamedTuple):
+    """A vertex of the polyhedron: the faces through it (0-based, sorted),
+    among them, for an ultra-ideal vertex, the face that truncates it."""
+    kind: str  # "finite" | "ideal" | "ultra_ideal"
+    faces: tuple[int, ...]
+    truncation: Optional[int] = None
+
+
+def face_lattice(p: CoxeterPresentation) -> tuple[Vertex, ...]:
+    """The vertices of the polyhedron, from the diagram labels alone (Vinberg,
+    "Hyperbolic reflection groups", Russian Math. Surveys 40, 1985).
+
+    A pair without an edge has order 2.  Orders a, b, c on a triple span a
+    finite vertex if 1/a + 1/b + 1/c > 1 and an ideal one if it is 1; else
+    an ultra-ideal one, if exactly one further face, its truncation, is at
+    right angles to all three.  Two ideal edges at right angles (A~1 x A~1)
+    span an ideal vertex.  Finite volume: every edge (a pair with an order)
+    has two ends among the finite and ideal vertices, or VerificationError.
+    """
+    s = p.size
+    # no label on the diagonal: a face is not at right angles to itself
+    label = [[None if i == j else 2 for j in range(s)] for i in range(s)]
+    for e in p.edges:
+        label[e.i - 1][e.j - 1] = label[e.j - 1][e.i - 1] = e.order or e.kind
+    verts = []
+    for t in combinations(range(s), 3):
+        a, b, c = (label[i][j] for i, j in combinations(t, 2))
+        if all(isinstance(x, int) for x in (a, b, c)):
+            excess = b * c + a * c + a * b - a * b * c  # abc (1/a + 1/b + 1/c - 1)
+            polar = [f for f in range(s) if all(label[f][i] == 2 for i in t)]
+            if excess >= 0:
+                verts.append(Vertex("finite" if excess else "ideal", t))
+            elif len(polar) == 1:
+                verts.append(Vertex("ultra_ideal", tuple(sorted({*t, *polar})), *polar))
+    ideal = [t for t in combinations(range(s), 2) if label[t[0]][t[1]] == "ideal"]
+    verts += [Vertex("ideal", tuple(sorted(u + v))) for u, v in combinations(ideal, 2)
+              if all(label[i][j] == 2 for i in u for j in v)]
+    ends = [v.faces for v in verts if v.kind != "ultra_ideal"]
+    for i, j in combinations(range(s), 2):
+        count = sum(i in f and j in f for f in ends)
+        if isinstance(label[i][j], int) and count != 2:
+            raise VerificationError(
+                f"edge F{i + 1}-F{j + 1} has {count} ends among the finite and "
+                f"ideal vertices, not 2: the polyhedron of ({p.m},{p.n}) "
+                "does not have finite volume")
+    return tuple(verts)
 
 
 # -- serialization -----------------------------------------------------------

@@ -713,19 +713,3 @@ def as_json_dict(x: AlgebraicNumber) -> dict:
         "approx": x.approx(),
     }
 
-
-def from_json_dict(d: dict) -> AlgebraicNumber:
-    ctx = make_context(d["L"])
-    num, den = _frac_list_to_vec(d["base"], ctx.degree)
-    if d["ext"] is None:
-        return AlgebraicNumber._make(ctx, num, den)
-    ext_num, ext_den = _frac_list_to_vec(d["ext"], ctx.degree)
-    rad = from_json_dict(d["radicand"])
-    return AlgebraicNumber._make(ctx, num, den, ext_num, ext_den, rad)
-
-
-def _frac_list_to_vec(pairs, degree):
-    fr = [Fraction(p, q) for p, q in pairs]
-    fr += [Fraction(0)] * (degree - len(fr))
-    dd = lcm(*(f.denominator for f in fr))
-    return tuple(int(f * dd) for f in fr), dd

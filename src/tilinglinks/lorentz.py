@@ -12,8 +12,9 @@ A horoball is encoded by a future null vector w scaled so its boundary is
 The formula is validated against an independent upper-half-space computation
 in the test suite.
 
-Everything this module computes is floating point at tolerance 1e-9; the
-exact layers live elsewhere.  Geometry objects are immutable after
+The vertex kinds and incidences of a realization come from the exact face
+lattice (`coxeter.face_lattice`); everything else this module computes is
+floating point at tolerance 1e-9.  Geometry objects are immutable after
 construction, and the sampling verifier only reads shared state, so all of
 this is safe under concurrent use.
 """
@@ -27,7 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .coxeter import CoxeterPresentation, geometry_of, validate_presentation
+from .coxeter import (CoxeterPresentation, face_lattice, geometry_of,
+                      validate_presentation)
 from .errors import DomainError, GeometryError, VerificationError
 
 TOL = 1e-9
@@ -56,15 +58,6 @@ def classify_point(v):
 class LorentzVector:
     coords: tuple[float, float, float, float]
     kind: str
-
-    @staticmethod
-    def of(v) -> "LorentzVector":
-        return LorentzVector(tuple(float(c) for c in v), classify_point(v))
-
-
-def horoball_distance(x, w):
-    """Distance from unit point x to the horoball of w (negative inside)."""
-    return float(np.log(-mdot(x, w)))
 
 
 # -- tiling angles -----------------------------------------------------------
@@ -156,7 +149,9 @@ class PolyhedronRealization:
 
 def realize(p: CoxeterPresentation) -> PolyhedronRealization:
     """Factor gram/2 = N J N^T through the nonzero eigenpairs; rows of N are
-    the face normals.  Vertices come from triples of face planes."""
+    the face normals.  Each vertex of `face_lattice` is placed as the null
+    vector of its faces' rows; its float kind must be its exact kind, and it
+    must lie on its faces and inside the others to within TOL."""
     validate_presentation(p)
     G = p.gram_float()
     A = G / 2
@@ -181,77 +176,22 @@ def realize(p: CoxeterPresentation) -> PolyhedronRealization:
     if err > 1e-8:
         raise VerificationError(f"normals fail to reproduce the Gram matrix ({err})")
 
-    verts, incid = _find_vertices(N)
-    return PolyhedronRealization(p, N, verts, incid, G)
-
-
-def _find_vertices(N):
-    """Vertex census from the face normals.
-
-    Ideal vertices arise where two planes meet at infinity (<e_i,e_j> = -1);
-    then e_i + e_j is the null direction.  Finite vertices are triple-plane
-    intersections with q < 0 on the correct side of every face.  An
-    ultra-ideal vertex is a triple intersection with q > 0 whose three
-    planes pairwise intersect in H^3 and which is the pole of some face
-    (the truncation face), again on the correct side of the others.
-    """
-    s = len(N)
-    gram2 = N @ J @ N.T  # <e_i, e_j>
-    cands = []  # (vector, polar_face | None)
-    for i in range(s):
-        for j in range(i + 1, s):
-            if abs(gram2[i, j] + 1) < 1e-9:
-                u = N[i] + N[j]
-                u = u / np.linalg.norm(u)
-                if u[3] < 0:
-                    u = -u
-                if np.max(N @ J @ u) <= 1e-8:
-                    cands.append((u, None))
-    for triple in _triples(s):
-        M = np.array([N[i] @ J for i in triple])
-        if np.linalg.matrix_rank(M, tol=1e-9) < 3:
-            continue
-        _, _, vt = np.linalg.svd(M)
-        v = vt[-1]
-        v = v / np.linalg.norm(v)
-        q = mdot(v, v)
-        if q < -TOL:
-            if v[3] < 0:
-                v = -v
-            if np.max(N @ J @ v) <= 1e-8:
-                cands.append((v, None))
-        elif q > TOL:
-            if any(abs(gram2[a, b]) >= 1 - 1e-9
-                   for a in triple for b in triple if a < b):
-                continue  # two defining planes do not cross in H^3
-            polar = next((f for f in range(s)
-                          if min(np.linalg.norm(v - N[f] / np.linalg.norm(N[f])),
-                                 np.linalg.norm(v + N[f] / np.linalg.norm(N[f])))
-                          < 1e-7), None)
-            if polar is None:
-                continue
-            if mdot(v, N[polar]) < 0:
-                v = -v
-            sides = N @ J @ v
-            if all(sides[f] <= 1e-8 for f in range(s) if f != polar):
-                cands.append((v, polar))
-    verts, incid = [], []
-    for v, polar in cands:
-        if any(abs(abs(v @ np.asarray(x.coords))) > 1 - 1e-8 for x in verts):
-            continue
-        faces = [f for f in range(s) if abs(mdot(v, N[f])) < 1e-7]
-        if polar is not None:
-            faces.append(polar)
-        verts.append(LorentzVector.of(v))
-        incid.append(tuple(sorted(faces)))
-    return tuple(verts), tuple(incid)
-
-
-def _triples(s):
-    for i in range(s):
-        for j in range(i + 1, s):
-            for k in range(j + 1, s):
-                yield (i, j, k)
+    lattice = face_lattice(p)
+    verts = []
+    for v in lattice:
+        span = [f for f in v.faces if f != v.truncation]
+        x = np.linalg.svd(N[span] @ J)[2][-1]  # spans the rows' null space
+        # future pointing; an ultra-ideal vertex is its truncation's pole
+        if (x[3] if v.truncation is None else mdot(x, N[v.truncation])) < 0:
+            x = -x
+        sides = N @ J @ x
+        if (classify_point(x) != v.kind or np.abs(sides[span]).max() > TOL
+                or any(sides[f] > TOL for f in range(s) if f != v.truncation)):
+            raise VerificationError(f"the realized normals misplace the {v.kind} "
+                                    f"vertex on faces {[f + 1 for f in v.faces]}")
+        verts.append(LorentzVector(tuple(float(c) for c in x), v.kind))
+    return PolyhedronRealization(p, N, tuple(verts),
+                                 tuple(v.faces for v in lattice), G)
 
 
 def realized_angles(r: PolyhedronRealization):
@@ -445,12 +385,6 @@ def build_platonic_cell(kind: str) -> IdealCell:
 
     return IdealCell(kind, verts, np.array(normals), horo,
                      np.array(refl), tuple(adjacency))
-
-
-def edge_midpoint(cell: IdealCell, i: int, j: int) -> np.ndarray:
-    """Midpoint of the edge (i, j): the unit point (w_i + w_j)/sqrt(-2<wi,wj>)."""
-    w = cell.horoballs
-    return (w[i] + w[j]) / sqrt(-2 * mdot(w[i], w[j]))
 
 
 # -- sampling verification ---------------------------------------------------

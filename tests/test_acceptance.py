@@ -19,12 +19,13 @@ from tilinglinks.coxeter import (build_hyperbolic_presentation,
                                  solve_ultraparallel_by_minor)
 from tilinglinks.fields import (AlgebraicNumber, adjoin_sqrt, embed_cos,
                                 is_rational, make_context)
-from tilinglinks.lorentz import (build_drum, build_platonic_cell,
-                                 edge_midpoint, horoball_distance, mdot,
+from tilinglinks.lorentz import (build_drum, build_platonic_cell, mdot,
                                  realize, realized_angles,
                                  tiling_angle_oracle, tiling_angles,
                                  verify_basins, verify_gluing_angles)
 from tilinglinks.tracefields import build_worksheet, invariant_trace_field
+
+from test_lorentz import edge_midpoint, horoball_distance
 
 HYPERBOLIC_12 = sorted({(max(m, n), min(m, n))
                         for m in range(3, 13) for n in range(3, 13)

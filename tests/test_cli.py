@@ -506,6 +506,9 @@ _GOLDEN_JSON = [
      "964cb3c1309086ea9751df7f51e49ae69b3c62a6f3b034d113e84c0d04d851c0"),
     (("commensurable", "7", "4", "9", "5"),
      "05109c742d82b8eeccc09bf59fb9efc30a453a49d1b077cbe01c44fb8d5085aa"),
+    # the basin counts are exact, so the whole report is pinned
+    (("report", "--bound", "12", "--with-geometry"),
+     "f0c71d74cfffb8dd65e88bf202dd01d64077714c2de6df6ce7ec279bd45445d8"),
 ]
 
 
@@ -515,6 +518,39 @@ def test_canonical_json_golden(argv, digest):
     code, out = run_cli(*argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the seeded `geometry-verify --m M --n N --format json` stdout,
+# re-serialized without the reports' max_error floats: those come from
+# LAPACK's eigh and may differ in their last bits between BLAS kernels, and
+# each report's `pass` already pins them below 1e-9
+_GOLDEN_GEOMETRY = [
+    (("--m", "5", "--n", "3"),
+     "90da0b46ad7cb401e90f7899e2904ba8a8c4352ebb0c70c33f8f27ef58c0d720"),
+    (("--m", "3", "--n", "5"),
+     "90da0b46ad7cb401e90f7899e2904ba8a8c4352ebb0c70c33f8f27ef58c0d720"),
+    (("--m", "3", "--n", "3"),
+     "90da0b46ad7cb401e90f7899e2904ba8a8c4352ebb0c70c33f8f27ef58c0d720"),
+    (("--m", "4", "--n", "3"),
+     "90da0b46ad7cb401e90f7899e2904ba8a8c4352ebb0c70c33f8f27ef58c0d720"),
+    (("--m", "50", "--n", "49"),
+     "aced6ea324702d7ab0d5d327a7bacf0858807d76db8c0d97878aac391981418f"),
+    (("--cell", "tetrahedron", "--m", "7", "--n", "9"),
+     "fc50c74634dd287c34a39fc6262a4347e9f513ef59e34a92eaf498a00fa30a49"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _GOLDEN_GEOMETRY,
+                         ids=[" ".join(a) for a, _ in _GOLDEN_GEOMETRY])
+def test_geometry_verify_golden(argv, digest):
+    code, out = run_cli("geometry-verify", *argv, "--samples", "2000",
+                        "--seed", "11", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    for r in doc["reports"]:
+        r.pop("max_error", None)
+    got = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(got.encode()).hexdigest() == digest
 
 
 # sha256 of the --format text stdout, pinned like the JSON above
@@ -564,6 +600,20 @@ def test_linalg_error_exit_3(monkeypatch, capsys):
     assert code == 3 and out == ""
     assert capsys.readouterr().err.startswith(
         "error: internal: LinAlgError: Singular matrix")
+
+
+def test_infinite_volume_diagram_exit_3(monkeypatch, capsys):
+    # without the ultraparallel edge F5-F6 the edge F1-F5 gains a third end
+    p = cli.build_presentation(6, 4)
+    monkeypatch.setattr(cli, "build_presentation",
+                        lambda m, n: p._replace(edges=p.edges[:-1]))
+    code, out = run_cli("geometry-verify", "--m", "6", "--n", "4",
+                        "--samples", "10")
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == (
+        "error: verification: edge F1-F5 has 3 ends among the finite and "
+        "ideal vertices, not 2: the polyhedron of (6,4) does not have "
+        "finite volume\n")
 
 
 # commands without float geometry must not import numpy (its import is most

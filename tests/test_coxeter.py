@@ -17,7 +17,7 @@ from tilinglinks.coxeter import (SPHERICAL_TYPES, _charpoly,
                                  build_presentation,
                                  build_spherical_presentation,
                                  enumerate_cyclic_products, exact_det,
-                                 geometry_of, rank_and_signature,
+                                 face_lattice, geometry_of, rank_and_signature,
                                  solve_ultraparallel_by_minor,
                                  validate_presentation)
 from tilinglinks.errors import DomainError, GeometryError, VerificationError
@@ -546,3 +546,22 @@ def test_offdiagonal_entry_range():
                     assert v < -2
                 else:
                     assert -2 <= v <= 0
+
+
+@pytest.mark.parametrize("m,n", [(4, 4), (6, 3), (3, 6)])
+def test_face_lattice_parabolic_triangle(m, n):
+    # on the Euclidean diagrams 1/m + 1/n + 1/2 = 1: F1 F2 F3 is a second
+    # cusp, and the finite-volume check still holds
+    p = coxeter._presentation(m, n, "euclidean", make_context(m * n))
+    assert [(v.kind, v.faces) for v in face_lattice(p)] == [
+        ("ideal", (0, 1, 2)), ("finite", (0, 1, 4)), ("finite", (0, 2, 3)),
+        ("finite", (0, 3, 4)), ("ideal", (1, 2, 3, 4))]
+
+
+def test_face_lattice_rejects_a_face_without_edges():
+    # F7 is at right angles to every face: F1 F2 F3 has two faces at right
+    # angles to all three, so no truncated vertex, and F1-F2 gains a third
+    # end, F7
+    p = build_hyperbolic_presentation(6, 4)
+    with pytest.raises(VerificationError, match="^edge F1-F2 has 3 ends"):
+        face_lattice(p._replace(faces=p.faces + ("F7",)))

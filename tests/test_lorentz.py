@@ -8,22 +8,34 @@ from math import cos, log, pi, sin, sqrt
 import numpy as np
 import pytest
 
-from tilinglinks.coxeter import (build_hyperbolic_presentation,
+from tilinglinks import lorentz
+from tilinglinks.coxeter import (SPHERICAL_TYPES, build_hyperbolic_presentation,
                                  build_presentation,
-                                 build_spherical_presentation)
+                                 build_spherical_presentation, face_lattice,
+                                 geometry_of)
 from tilinglinks.errors import DomainError, GeometryError, VerificationError
-from tilinglinks.lorentz import (HALTON_PERIOD, J, WALL_SKIP_TOL,
+from tilinglinks.lorentz import (HALTON_PERIOD, J, TOL, WALL_SKIP_TOL,
                                  CanonicalCheckReport, _halton,
                                  _halton_residues, _interior_points,
                                  build_drum, build_platonic_cell,
-                                 classify_point, drum_symmetries_ok,
-                                 edge_midpoint, horoball_distance, mdot,
+                                 classify_point, drum_symmetries_ok, mdot,
                                  polygon_edge_and_angle,
                                  realize, realized_angles, tiling_angle_oracle,
                                  tiling_angles, verify_basins,
                                  verify_gluing_angles)
 
 RNG = np.random.default_rng(20240817)
+
+
+def horoball_distance(x, w):
+    """Distance from unit point x to the horoball of w (negative inside)."""
+    return float(np.log(-mdot(x, w)))
+
+
+def edge_midpoint(cell, i, j):
+    """Midpoint of the edge (i, j): the unit point (w_i + w_j)/sqrt(-2<wi,wj>)."""
+    w = cell.horoballs
+    return (w[i] + w[j]) / sqrt(-2 * mdot(w[i], w[j]))
 
 
 def random_unit_point(rng=RNG, spread=0.4):
@@ -162,6 +174,71 @@ def test_ideal_vertices_are_null():
                 assert abs(q) < 1e-9
             elif v.kind == "ultra_ideal":
                 assert q > 1e-9
+
+
+LATTICE_TYPES = ([(m, n) for m in range(3, 13) for n in range(3, 13)
+                  if geometry_of(m, n) == "Hyperbolic"]
+                 + [(49, 47), (22, 43)]
+                 + sorted(SPHERICAL_TYPES | {(n, m) for m, n in SPHERICAL_TYPES}))
+
+
+@pytest.mark.parametrize("m,n", LATTICE_TYPES)
+def test_lattice_vertices_realized(m, n):
+    # hyperbolic: six finite corners, the cusp F2 F3 F4 F5 and the apex
+    # F1 F2 F3 cut off by F6; spherical: four finite corners and the cusp
+    p = build_presentation(m, n)
+    lattice = face_lattice(p)
+    kinds = [v.kind for v in lattice]
+    hyperbolic = p.family == "hyperbolic"
+    assert kinds.count("finite") == (6 if hyperbolic else 4)
+    assert [v.faces for v in lattice if v.kind == "ideal"] == [(1, 2, 3, 4)]
+    assert [(v.faces, v.truncation) for v in lattice
+            if v.kind == "ultra_ideal"] == ([((0, 1, 2, 5), 5)]
+                                            if hyperbolic else [])
+    r = realize(p)
+    assert [v.kind for v in r.vertices] == kinds
+    assert r.incidence == tuple(v.faces for v in lattice)
+    for v, x in zip(lattice, r.vertices):
+        sides = r.normals @ J @ np.asarray(x.coords)
+        for f in range(p.size):
+            if f == v.truncation:  # the vertex is the pole of this face
+                assert sides[f] > TOL
+            elif f in v.faces:
+                assert abs(sides[f]) <= TOL
+            else:
+                assert sides[f] <= TOL
+
+
+# every edge of the hyperbolic diagram; of the spherical one, the ideal
+# edges (a dropped angle edge leaves a right angle, F1 F2 F3 stays a finite
+# vertex, and the diagram keeps finite volume)
+@pytest.mark.parametrize("m,n,k", [(6, 4, k) for k in range(6)]
+                         + [(5, 3, 2), (5, 3, 3)])
+def test_dropped_edge_fails_finite_volume(m, n, k):
+    p = build_presentation(m, n)
+    q = p._replace(edges=p.edges[:k] + p.edges[k + 1:])
+    with pytest.raises(VerificationError, match=r"^edge F\d-F\d has \d ends"):
+        face_lattice(q)
+    with pytest.raises(VerificationError, match="does not have finite volume"):
+        realize(q)
+
+
+# each lattice vertex the normals contradict: by its kind, by a face it
+# should lie inside of, and by faces it should lie on (the five faces of
+# the spherical polyhedron have no common point)
+@pytest.mark.parametrize("m,n,old,new", [
+    (6, 4, ("ideal", (1, 2, 3, 4)), ("finite", (1, 2, 3, 4))),
+    (6, 4, ("finite", (0, 1, 4)), ("ultra_ideal", (0, 1, 3))),
+    (5, 3, ("finite", (0, 1, 2)), ("finite", (0, 1, 2, 3, 4))),
+])
+def test_realize_rejects_a_misplaced_vertex(m, n, old, new, monkeypatch):
+    p = build_presentation(m, n)
+    lattice = tuple(v._replace(kind=new[0], faces=new[1])
+                    if (v.kind, v.faces) == old else v for v in face_lattice(p))
+    assert lattice != face_lattice(p)
+    monkeypatch.setattr(lorentz, "face_lattice", lambda _: lattice)
+    with pytest.raises(VerificationError, match="misplace"):
+        realize(p)
 
 
 def test_realization_keeps_float_gram():
