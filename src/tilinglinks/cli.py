@@ -8,6 +8,10 @@ the TILINGLINKS_FORMAT environment variable when set.
 Exit codes: 0 success, 2 domain errors (invalid input, an --out file that
 cannot be written), 3 internal verification failures (exact/numeric
 disagreement) and stray arithmetic or linear-algebra errors.
+
+Each command checks its arguments first and only then imports the layers it
+runs, so a command compiles and loads no other layer, and an argument error
+loads none.
 """
 
 from __future__ import annotations
@@ -20,16 +24,7 @@ import sys
 from math import pi
 
 from . import __version__
-from .arithmeticity import (arithmetic_sweep, certificate_json_dict,
-                            check_arithmetic)
-from .classify import (arithmetic_status, classification_rows,
-                       classify_geometry, commensurable, is_valid_type,
-                       minimal_orbifold_degree, normalize_type, rows_to_csv)
-from .coxeter import (Edge, build_presentation, build_hyperbolic_presentation,
-                      build_spherical_presentation,
-                      presentation_json_dict, rank_and_signature)
 from .errors import DomainError, VerificationError
-from .tracefields import invariant_trace_field, trace_field_json_dict
 
 MAX_PARAM = 50  # guard against runaway field degrees
 # a basin check of this many takes about 1 s on a Platonic cell and about
@@ -156,6 +151,7 @@ def _check_sampling(samples, seed):
 
 def _presentation_for(args):
     _check_params(args.m, args.n)
+    from .coxeter import build_presentation, build_spherical_presentation
     if getattr(args, "spherical", False):
         return build_spherical_presentation(args.m, args.n)
     return build_presentation(args.m, args.n)
@@ -163,6 +159,7 @@ def _presentation_for(args):
 
 def cmd_gram(args, out):
     p = _presentation_for(args)
+    from .coxeter import presentation_json_dict, rank_and_signature
     if args.format == "json":
         out.write(_dump(presentation_json_dict(p)) + "\n")
         return 0
@@ -184,6 +181,7 @@ def cmd_gram(args, out):
 
 def cmd_arithmetic(args, out):
     p = _presentation_for(args)
+    from .arithmeticity import certificate_json_dict, check_arithmetic
     cert = check_arithmetic(p)
     if args.format == "json":
         out.write(_dump(certificate_json_dict(cert)) + "\n")
@@ -207,6 +205,8 @@ def cmd_arithmetic(args, out):
 
 def cmd_tracefield(args, out):
     _check_params(args.m, args.n)
+    from .coxeter import build_hyperbolic_presentation
+    from .tracefields import invariant_trace_field, trace_field_json_dict
     p = build_hyperbolic_presentation(args.m, args.n)
     res = invariant_trace_field(p)
     if args.format == "json":
@@ -220,6 +220,8 @@ def cmd_tracefield(args, out):
 
 def cmd_classify(args, out):
     _check_params(args.m, args.n)
+    from .classify import (arithmetic_status, classify_geometry,
+                           is_valid_type, minimal_orbifold_degree)
     gc = classify_geometry(args.m, args.n, args.genus)
     payload = {"m": args.m, "n": args.n, "geometry": gc.tiling.geometry,
                "exists": gc.exists, "vertex_count": gc.vertex_count,
@@ -243,6 +245,7 @@ def cmd_classify(args, out):
 
 def cmd_commensurable(args, out):
     _check_params(args.m1, args.n1, args.m2, args.n2)
+    from .classify import commensurable, normalize_type
     verdict, reason = commensurable((args.m1, args.n1), (args.m2, args.n2))
     payload = {"a": list(normalize_type(args.m1, args.n1)),
                "b": list(normalize_type(args.m2, args.n2)),
@@ -264,12 +267,13 @@ def _basin_check(ideal_cell, samples, seed, **labels):
     return rep.json_dict() | labels | {"pass": rep.passed}
 
 
-def _geometry_reports(m, n, samples, seed):
+def _geometry_reports(p, samples, seed):
+    from .coxeter import Edge
     from .lorentz import (build_drum, drum_symmetries_ok, realize,
                           realized_angles, tiling_angle_oracle, tiling_angles,
                           verify_gluing_angles)
+    m, n = p.m, p.n
     reports = []
-    p = build_presentation(m, n)
     r = realize(p)
     gram_err = float(abs(r.recomputed_gram() - r.gram).max())
     reports.append({"check": "gram_roundtrip", "max_error": gram_err,
@@ -308,6 +312,15 @@ def cmd_geometry_verify(args, out):
         raise DomainError(
             "give both --m and --n for the drum checks, or neither")
     _check_sampling(args.samples, args.seed)
+    if args.m is None and not args.cell:
+        raise DomainError("nothing to verify: give --cell and/or --m/--n")
+    p = None
+    if args.m is not None:
+        # the type is checked (bound, m,n >= 3, not Euclidean) before any
+        # cell is sampled
+        _check_params(args.m, args.n)
+        from .coxeter import build_presentation
+        p = build_presentation(args.m, args.n)
     reports = []
     if args.cell:
         from .lorentz import build_platonic_cell
@@ -315,11 +328,8 @@ def cmd_geometry_verify(args, out):
             reports.append(_basin_check(build_platonic_cell(kind),
                                         args.samples, args.seed,
                                         check=f"{kind}_basins"))
-    if args.m is not None:
-        _check_params(args.m, args.n)
-        reports += _geometry_reports(args.m, args.n, args.samples, args.seed)
-    if not reports:
-        raise DomainError("nothing to verify: give --cell and/or --m/--n")
+    if p is not None:
+        reports += _geometry_reports(p, args.samples, args.seed)
     ok = all(r.get("pass", True) for r in reports)
     if args.format == "json":
         out.write(_dump({"reports": reports, "all_pass": ok,
@@ -335,6 +345,7 @@ def cmd_geometry_verify(args, out):
 
 def cmd_sweep(args, out):
     _check_params(args.m_max, args.n_max)
+    from .arithmeticity import arithmetic_sweep
     rows = arithmetic_sweep(args.m_max, args.n_max)
     if args.format == "json":
         out.write(_dump([{"m": r.m, "n": r.n, "arithmetic": r.arithmetic,
@@ -355,6 +366,8 @@ def cmd_report(args, out):
     if args.bound < 3:
         raise DomainError("bound must be >= 3")
     _check_sampling(args.samples, args.seed)
+    from .arithmeticity import arithmetic_sweep
+    from .classify import classification_rows, rows_to_csv
     rows = classification_rows(args.bound)
     sweep = arithmetic_sweep(args.bound, args.bound)
     geometry = []

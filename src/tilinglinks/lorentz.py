@@ -21,10 +21,9 @@ this is safe under concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import atan, cos, pi, sin, sqrt, tan
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -54,8 +53,7 @@ def classify_point(v):
     return "ideal"
 
 
-@dataclass(frozen=True)
-class LorentzVector:
+class LorentzVector(NamedTuple):
     coords: tuple[float, float, float, float]
     kind: str
 
@@ -134,8 +132,7 @@ def tiling_angle_oracle(m: int, n: int) -> float:
 
 # -- polyhedron realization --------------------------------------------------
 
-@dataclass(frozen=True)
-class PolyhedronRealization:
+class PolyhedronRealization(NamedTuple):
     presentation: CoxeterPresentation
     normals: np.ndarray                 # one outward unit normal per face
     vertices: tuple[LorentzVector, ...]
@@ -214,8 +211,7 @@ def realized_angles(r: PolyhedronRealization):
 
 # -- ideal cells: drums and Platonic solids ---------------------------------
 
-@dataclass(frozen=True)
-class IdealCell:
+class IdealCell(NamedTuple):
     """A regular ideal cell with equivariant horoballs.
 
     vertices are null rows; horoballs are the same rows rescaled to the
@@ -228,11 +224,10 @@ class IdealCell:
     horoballs: np.ndarray
     reflections: np.ndarray
     adjacency: tuple[tuple[int, int], ...]
-    isometries: tuple[np.ndarray, ...] = field(default=(), repr=False)
+    isometries: tuple[np.ndarray, ...] = ()
 
 
-@dataclass(frozen=True)
-class DrumGeometry:
+class DrumGeometry(NamedTuple):
     cell: IdealCell
     m: int
     n: int
@@ -541,8 +536,7 @@ def _interior_points(cell, start, count):
     return X[np.all(X @ J @ cell.normals.T < -1e-12, axis=1)]
 
 
-@dataclass(frozen=True)
-class CanonicalCheckReport:
+class CanonicalCheckReport(NamedTuple):
     cell: str
     samples: int
     violations: int

@@ -2,7 +2,6 @@
 and seeded reproducibility."""
 
 import collections
-import dataclasses
 import hashlib
 import io
 import json
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tilinglinks
-from tilinglinks import cli, lorentz
+from tilinglinks import cli, coxeter, lorentz
 from tilinglinks.cli import main
 
 
@@ -221,6 +220,21 @@ def test_geometry_verify_half_drum_pair_exit_2(half, monkeypatch, capsys):
     assert "--m and --n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m, n, message", [
+    ("51", "3", "exceeds the supported bound 50"),
+    ("2", "5", "integers >= 3"),
+    ("4", "4", "(4,4) is Euclidean"),
+])
+def test_geometry_verify_bad_type_exit_2_before_sampling(m, n, message,
+                                                         monkeypatch, capsys):
+    # the drum pair's type is checked before the --cell basin checks run
+    monkeypatch.setattr(lorentz, "verify_basins", None)
+    code, out = run_cli("geometry-verify", "--cell", "tetrahedron", "--cell",
+                        "octahedron", "--m", m, "--n", n, "--samples", "10")
+    assert code == 2 and out == ""
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_nonpositive_samples_exit_2(samples):
     code, out = run_cli("geometry-verify", "--cell", "tetrahedron",
@@ -250,7 +264,7 @@ def test_cell_without_interior_exit_3(monkeypatch, capsys):
     full = lorentz.build_platonic_cell("octahedron")
     normals = full.normals.copy()
     normals[1] = -normals[0]
-    hollow = dataclasses.replace(full, normals=normals)
+    hollow = full._replace(normals=normals)
     monkeypatch.setattr(lorentz, "build_platonic_cell", lambda kind: hollow)
     code, out = run_cli("geometry-verify", "--cell", "octahedron",
                         "--samples", "10")
@@ -274,8 +288,7 @@ def test_basin_check_without_evidence_fails(monkeypatch):
 
     def all_skipped(cell, samples, seed):
         rep = real(cell, samples=samples, seed=seed)
-        return dataclasses.replace(rep, skipped=samples,
-                                   skipped_near_wall=samples)
+        return rep._replace(skipped=samples, skipped_near_wall=samples)
 
     monkeypatch.setattr(lorentz, "verify_basins", all_skipped)
     code, out = run_cli("geometry-verify", "--cell", "octahedron",
@@ -604,8 +617,8 @@ def test_linalg_error_exit_3(monkeypatch, capsys):
 
 def test_infinite_volume_diagram_exit_3(monkeypatch, capsys):
     # without the ultraparallel edge F5-F6 the edge F1-F5 gains a third end
-    p = cli.build_presentation(6, 4)
-    monkeypatch.setattr(cli, "build_presentation",
+    p = coxeter.build_presentation(6, 4)
+    monkeypatch.setattr(coxeter, "build_presentation",
                         lambda m, n: p._replace(edges=p.edges[:-1]))
     code, out = run_cli("geometry-verify", "--m", "6", "--n", "4",
                         "--samples", "10")
@@ -625,7 +638,10 @@ loaded = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --version, --help, argparse errors
+            code = exc.code
     loaded.append([code, sys.argv[2] in sys.modules])
 print(json.dumps(loaded))
 """
@@ -670,6 +686,46 @@ def test_exact_commands_load_neither_dataclasses_nor_inspect():
              ["report", "--bound", "12", "--format", "json"]]
     for module in ("dataclasses", "inspect"):
         assert _probe_imports(module, argvs) == [[0, False]] * 7, module
+
+
+def test_argument_errors_and_version_load_no_layer():
+    # every layer imports `fields`, so none of them is loaded either
+    argvs = [["--version"], ["gram", "--help"], ["gram", "51", "3"],
+             ["geometry-verify", "--samples", "0"],
+             ["report", "--bound", "51"], ["commensurable", "3", "3", "51", "3"]]
+    assert _probe_imports("tilinglinks.fields", argvs) == [[0, False]] * 2 + [
+        [2, False]] * 4
+
+
+def test_exact_commands_load_no_classify():
+    argvs = [["gram", "6", "4", "--format", "json"],
+             ["gram", "5", "3", "--spherical"],
+             ["arithmetic", "22", "43", "--format", "json"],
+             ["tracefield", "6", "4", "--format", "json"]]
+    assert _probe_imports("tilinglinks.classify", argvs) == [[0, False]] * 4
+
+
+def test_geometry_commands_load_no_dataclasses():
+    # the lorentz records are NamedTuples: numpy loads `inspect`, but
+    # nothing loads `dataclasses` and its generated methods
+    argvs = [["geometry-verify", "--cell", "tetrahedron", "--m", "6",
+              "--n", "4", "--samples", "10"],
+             ["report", "--bound", "6", "--with-geometry", "--samples", "10"]]
+    assert _probe_imports("dataclasses", argvs) == [[0, False]] * 2
+
+
+def test_bare_package_import_loads_no_submodule():
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(tilinglinks.__file__))
+    probe = ("import sys, tilinglinks\n"
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith('tilinglinks.')))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def _run_geometry(blas_threads, argv, probe=""):
@@ -748,6 +804,8 @@ def test_package_exports_resolve():
         tilinglinks.no_such_name
     with pytest.raises(ImportError):
         exec("from tilinglinks import no_such_name", {})
+    assert set(tilinglinks.__all__) <= set(dir(tilinglinks))
+    assert "__version__" in dir(tilinglinks)
 
 
 def test_out_file(tmp_path):

@@ -2,7 +2,6 @@
 independent upper-half-space oracle, realizations, drums, Platonic cells,
 and basin verification."""
 
-import dataclasses
 from math import cos, log, pi, sin, sqrt
 
 import numpy as np
@@ -279,7 +278,7 @@ def test_isometry_invariance():
     r = realize(p)
     T = random_lorentz_transform(11)
     assert np.max(np.abs(T.T @ J @ T - J)) < 1e-9
-    moved = dataclasses.replace(r, normals=(T @ r.normals.T).T)
+    moved = r._replace(normals=(T @ r.normals.T).T)
     before = sorted((i, j, k, round(v, 9))
                     for i, j, k, v in realized_angles(r))
     after = sorted((i, j, k, round(v, 9))
@@ -371,8 +370,7 @@ def test_drum_symmetries_reject_perturbed_isometry():
     d = build_drum(6, 4, side=4)
     bent = list(d.cell.isometries)
     bent[3] = bent[3] @ np.diag([1.0, 1.0, 1.0 + 1e-6, 1.0])
-    broken = dataclasses.replace(
-        d, cell=dataclasses.replace(d.cell, isometries=tuple(bent)))
+    broken = d._replace(cell=d.cell._replace(isometries=tuple(bent)))
     assert drum_symmetries_ok(d)
     assert not drum_symmetries_ok(broken)
 
@@ -589,14 +587,13 @@ def reference_basins(cell, samples, seed):
 def octahedron_one_plane():
     # one symmetry plane cannot single out one of six basins
     full = build_platonic_cell("octahedron")
-    return dataclasses.replace(full, reflections=full.reflections[:1])
+    return full._replace(reflections=full.reflections[:1])
 
 
 def octahedron_rolled_horoballs():
     # each horoball moved to the next vertex: every kept sample violates
     full = build_platonic_cell("octahedron")
-    return dataclasses.replace(full,
-                               horoballs=np.roll(full.horoballs, 1, axis=0))
+    return full._replace(horoballs=np.roll(full.horoballs, 1, axis=0))
 
 
 def octahedron_twin_horoballs():
@@ -605,7 +602,7 @@ def octahedron_twin_horoballs():
     full = build_platonic_cell("octahedron")
     w = full.horoballs.copy()
     w[1] = w[0] * (1 + 1e-9)
-    return dataclasses.replace(full, horoballs=w)
+    return full._replace(horoballs=w)
 
 
 REFERENCE_CELLS = {
@@ -648,7 +645,7 @@ def test_interior_points_follow_changed_normals():
     tetrahedron = build_platonic_cell("tetrahedron")
     first = _interior_points(octahedron, 1, 50000)
     assert len(first) > 0
-    swapped = dataclasses.replace(octahedron, normals=tetrahedron.normals)
+    swapped = octahedron._replace(normals=tetrahedron.normals)
     got = _interior_points(swapped, 1, 50000)
     assert got.tobytes() == full_scan_interior_points(swapped, 1, 50000).tobytes()
     assert got.tobytes() == _interior_points(tetrahedron, 1, 50000).tobytes()
@@ -656,7 +653,7 @@ def test_interior_points_follow_changed_normals():
     # <X, e'> = (<X, e> - X4) / 2 < <X, e> / 2: more points pass face 0
     normals = octahedron.normals.copy()
     normals[0] = normals[0] * 0.5 + np.array([0.0, 0.0, 0.0, 0.5])
-    moved = dataclasses.replace(octahedron, normals=normals)
+    moved = octahedron._replace(normals=normals)
     got = _interior_points(moved, 1, 50000)
     assert got.tobytes() == full_scan_interior_points(moved, 1, 50000).tobytes()
     assert len(got) > len(first)
@@ -664,7 +661,7 @@ def test_interior_points_follow_changed_normals():
     # of f_e can sit at the vertex of a convex quadratic
     normals = octahedron.normals.copy()
     normals[0] = -normals[0]
-    beyond = dataclasses.replace(octahedron, normals=normals)
+    beyond = octahedron._replace(normals=normals)
     got = _interior_points(beyond, 1, 50000)
     assert got.tobytes() == full_scan_interior_points(beyond, 1, 50000).tobytes()
     assert len(got) > 0
@@ -733,7 +730,7 @@ def octahedron_without_interior():
     full = build_platonic_cell("octahedron")
     normals = full.normals.copy()
     normals[1] = -normals[0]
-    return dataclasses.replace(full, normals=normals)
+    return full._replace(normals=normals)
 
 
 def test_basins_cell_without_interior_raises():
@@ -749,12 +746,12 @@ def test_basins_cell_without_interior_raises():
 def test_basin_report_passed_needs_evidence():
     ok = verify_basins(build_platonic_cell("tetrahedron"), samples=200)
     assert ok.passed
-    assert not dataclasses.replace(ok, violations=1).passed
+    assert not ok._replace(violations=1).passed
     # every sample skipped: nothing kept
-    assert not dataclasses.replace(ok, skipped=200, skipped_near_wall=200).passed
+    assert not ok._replace(skipped=200, skipped_near_wall=200).passed
     # 1 % of the samples skipped is allowed, one more is not
-    assert dataclasses.replace(ok, skipped=2, skipped_near_wall=2).passed
-    assert not dataclasses.replace(ok, skipped=3, skipped_ambiguous=3).passed
+    assert ok._replace(skipped=2, skipped_near_wall=2).passed
+    assert not ok._replace(skipped=3, skipped_ambiguous=3).passed
 
 
 def test_basin_walls_lie_in_symmetry_planes():
