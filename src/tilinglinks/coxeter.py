@@ -77,7 +77,7 @@ class _PresentationFields(NamedTuple):
 
 class CoxeterPresentation(_PresentationFields):
     """A Coxeter diagram and its exact Gram matrix; the subclass keeps a
-    `__dict__` for the cached `_exact_gram`."""
+    `__dict__` for the cached `_exact_gram` and `_inertia`."""
 
     @property
     def size(self) -> int:
@@ -111,6 +111,12 @@ class CoxeterPresentation(_PresentationFields):
             rows[i][5] = rows[5][i] = want
         rows[5][5] = rows[5][5] * D
         return tuple(tuple(r) for r in rows)
+
+    @cached_property
+    def _inertia(self):
+        """The exact (rank, n_positive, n_negative) of the Gram matrix, from
+        `_certify_inertia`, once per presentation."""
+        return _certify_inertia(self)
 
 
 def _presentation(m, n, family, ctx, extra=()):
@@ -277,33 +283,47 @@ GramLike = Union[CoxeterPresentation, Sequence[Sequence[AlgebraicNumber]]]
 
 
 def rank_and_signature(p: GramLike) -> tuple[int, int, int]:
-    """(rank, n_positive, n_negative), rank exact, signature by Descartes
-    on the exact characteristic polynomial, cross-checked numerically.
+    """(rank, n_positive, n_negative), exact, cross-checked numerically.
 
-    For a presentation the exact part runs on its `_exact_gram`, the
-    K0-congruent Gram matrix of a hyperbolic one; raw rows are used as
-    given.  The numeric cross-check always uses the original Gram matrix:
-    its float eigenvalues, from the cyclic Jacobi method on the `approx`
-    doubles, are counted against the thresholds +-1e-9, and a disagreement
-    with the exact counts, like a Jacobi iteration that does not converge,
-    raises `VerificationError`.
+    Raw rows: the rank is s minus the number of trailing zero coefficients
+    of the exact characteristic polynomial (`_charpoly`), the signature
+    comes from Descartes' rule on it.  A presentation: its cached
+    `_inertia`, certified from identities of the diagram's K0 Gram g, with
+    a = -g12 = 2cos(pi/m), b = -g13 = 2cos(pi/n) and B = g[F1..F4]
+    (`_certify_inertia`):
+      - g k = 0 for k1 = (0, b, -a, b, -a, 0) (spherical: without F6) and
+        k2 = (2a, 4 - b^2, ab, 4 - a^2 - b^2, 0, -2a), which holds iff
+        g66 = 2D, 4D = a^2 + b^2 - 4: rank <= 4;
+      - B's leading minors are 2, 4 - a^2, 8 - 2a^2 - 2b^2 = -8D and
+        det B = -4a^2 != 0: rank 4 and G = B + 0 up to congruence, whose
+        negative eigenvalues Jacobi's rule counts as the sign changes of
+        1, 2, 4 - a^2, -8D, -4a^2.
+
+    The numeric cross-check always uses the original Gram matrix: its float
+    eigenvalues, from the cyclic Jacobi method on the `approx` doubles, are
+    counted against the thresholds +-1e-9, and a disagreement with the exact
+    counts, like a Jacobi iteration that does not converge, raises
+    `VerificationError`.
     """
-    rows, exact_rows = ((p.gram, p._exact_gram)
-                        if isinstance(p, CoxeterPresentation) else (p, p))
+    presentation = isinstance(p, CoxeterPresentation)
+    rows = p.gram if presentation else p
     s = len(rows)
-    coeffs = _charpoly(exact_rows)  # lambda^s .. constant term
-    trailing = 0
-    while trailing < s and coeffs[s - trailing].is_zero:
-        trailing += 1
-    rank = s - trailing
-    reduced = coeffs[:s - trailing + 1]
-    signs = [c.sign() for c in reduced if not c.is_zero]
-    pos = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    alt = [c.sign() * (-1) ** (len(reduced) - 1 - i)
-           for i, c in enumerate(reduced) if not c.is_zero]
-    neg = sum(1 for a, b in zip(alt, alt[1:]) if a != b)
-    if pos + neg != rank:
-        raise VerificationError("Descartes counts inconsistent with exact rank")
+    if presentation:
+        rank, pos, neg = p._inertia
+    else:
+        coeffs = _charpoly(rows)  # lambda^s .. constant term
+        trailing = 0
+        while trailing < s and coeffs[s - trailing].is_zero:
+            trailing += 1
+        rank = s - trailing
+        reduced = coeffs[:s - trailing + 1]
+        signs = [c.sign() for c in reduced if not c.is_zero]
+        pos = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        alt = [c.sign() * (-1) ** (len(reduced) - 1 - i)
+               for i, c in enumerate(reduced) if not c.is_zero]
+        neg = sum(1 for a, b in zip(alt, alt[1:]) if a != b)
+        if pos + neg != rank:
+            raise VerificationError("Descartes counts inconsistent with exact rank")
 
     ev = _jacobi_eigenvalues([[e.approx() for e in row] for row in rows])
     num = (sum(1 for v in ev if v > 1e-9), sum(1 for v in ev if v < -1e-9),
@@ -353,9 +373,49 @@ def _jacobi_eigenvalues(a):
         f"{_JACOBI_SWEEPS} Jacobi sweeps")
 
 
+def _certify_inertia(p: CoxeterPresentation) -> tuple[int, int, int]:
+    """The identities of `rank_and_signature`'s docstring, checked in K0;
+    VerificationError names the first that fails."""
+    g = p._exact_gram
+    s = len(g)
+    a, b = -g[0][1], -g[0][2]
+    two, zero = (AlgebraicNumber.rational(p.ctx, v) for v in (2, 0))
+    # the diagram's pattern in a and b; g66 is left to the kernel vector k2
+    off = {(0, 1): -a, (0, 2): -b, (1, 3): -two, (2, 4): -two,
+           (3, 5): -a, (4, 5): -b}
+    for i in range(s):
+        for j in range(s):
+            if (i, j) != (5, 5) and g[i][j] != (
+                    two if i == j else off.get((min(i, j), max(i, j)), zero)):
+                raise VerificationError(f"Gram entry ({i + 1},{j + 1}) is off "
+                                        "the diagram's pattern")
+    aa, bb = a * a, b * b
+    kernel = [(zero, b, -a, b, -a, zero)[:s]]
+    if s == 6:
+        kernel.append((2 * a, 4 - bb, a * b, 4 - aa - bb, zero, -2 * a))
+    for k, vec in enumerate(kernel, 1):
+        if any(not sum((x * y for x, y in zip(row, vec)
+                        if not (x.is_zero or y.is_zero)), zero).is_zero
+               for row in g):
+            raise VerificationError(f"kernel vector k{k} is not in the "
+                                    "Gram matrix's kernel")
+    # 1, D1, ..., D4 of B; D4 != 0 also makes k1 and k2 independent
+    signs = [1, 1] + [d.sign() for d in (4 - aa, 8 - 2 * (aa + bb), -4 * aa)]
+    if 0 in signs:
+        raise VerificationError(f"leading minor D{signs.index(0)} of the "
+                                "F1..F4 block is zero")
+    neg = sum(x != y for x, y in zip(signs, signs[1:]))
+    return 4, 4 - neg, neg
+
+
 def validate_presentation(p: CoxeterPresentation) -> tuple[int, int, int]:
     """Rank/signature gate: every polyhedral Gram matrix here must have
-    rank 4 and signature (3,1)."""
+    rank 4 and signature (3,1).  `rank_and_signature` certifies it from the
+    diagram: two kernel vectors of the K0 Gram (rank <= 4), det B = -4a^2
+    != 0 for its F1..F4 block B (rank >= 4), and Jacobi's rule on B's
+    leading minors 2, 4 - a^2, -8D, -4a^2 (one sign change on both
+    families: D > 0 hyperbolic, D < 0 spherical); then the Jacobi
+    eigenvalues of the float Gram must agree."""
     rank, pos, neg = rank_and_signature(p)
     if (rank, pos, neg) != (4, 3, 1):
         raise GeometryError(

@@ -23,17 +23,18 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import atan, cos, pi, sin, sqrt, tan
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from .coxeter import (CoxeterPresentation, face_lattice, geometry_of,
-                      validate_presentation)
 from .errors import DomainError, GeometryError, VerificationError
 
 TOL = 1e-9
 WALL_SKIP_TOL = 1e-8
 J = np.diag([1.0, 1.0, 1.0, -1.0])
+
+if TYPE_CHECKING:
+    from .coxeter import CoxeterPresentation
 
 
 def mdot(u, v):
@@ -64,6 +65,7 @@ def tiling_angles(m: int, n: int) -> tuple[float, float]:
     """Interior angles (alpha_m, alpha_n) of the two regular polygons in the
     [m,n,m,n] tiling: equal edge lengths and alpha_m + alpha_n = pi force
     tan(alpha_m / 2) = cos(pi/m) / cos(pi/n)."""
+    from .coxeter import geometry_of
     if geometry_of(m, n) != "Hyperbolic":
         raise GeometryError(f"({m},{n}) is not hyperbolic")
     if m == n:
@@ -106,6 +108,7 @@ def tiling_angle_oracle(m: int, n: int) -> float:
     """Independent derivation of alpha_m: bisect for the angle at which the
     constructed regular m-gon and n-gon (angles summing to pi) share an edge
     length.  Uses polygon construction only, not the closed form."""
+    from .coxeter import geometry_of
     if geometry_of(m, n) != "Hyperbolic":
         raise GeometryError(f"({m},{n}) is not hyperbolic")
     lo = 2 * pi / n + 1e-12   # n-gon with angle pi-a exists iff a > 2*pi/n
@@ -149,6 +152,7 @@ def realize(p: CoxeterPresentation) -> PolyhedronRealization:
     the face normals.  Each vertex of `face_lattice` is placed as the null
     vector of its faces' rows; its float kind must be its exact kind, and it
     must lie on its faces and inside the others to within TOL."""
+    from .coxeter import face_lattice, validate_presentation
     validate_presentation(p)
     G = p.gram_float()
     A = G / 2

@@ -448,6 +448,71 @@ def test_report_certifies_each_presentation_once(monkeypatch):
     assert max(calls.values()) == 1, calls
 
 
+def test_rank_signature_gate_runs_once_per_presentation(monkeypatch):
+    from tilinglinks import arithmeticity, classify
+    real = coxeter._certify_inertia
+    calls = collections.Counter()
+
+    def counting(p):
+        calls[(p.m, p.n, p.family)] += 1
+        return real(p)
+
+    monkeypatch.setattr(coxeter, "_certify_inertia", counting)
+    coxeter.build_hyperbolic_presentation.cache_clear()
+    arithmeticity.hyperbolic_verdict.cache_clear()
+    classify.arithmetic_status.cache_clear()
+    code, _ = run_cli("report", "--bound", "12", "--with-geometry",
+                      "--samples", "100", "--format", "json")
+    assert code == 0
+    assert (6, 4, "hyperbolic") in calls
+    assert max(calls.values()) == 1, calls
+    # the gate's other readers reuse the certified result
+    p = coxeter.build_hyperbolic_presentation(6, 4)
+    lorentz.realize(p)
+    coxeter.validate_presentation(p)
+    assert run_cli("gram", "6", "4")[0] == 0
+    assert calls[(6, 4, "hyperbolic")] == 1
+
+
+@pytest.mark.parametrize("argv", [("gram", "22", "49"),
+                                  ("arithmetic", "22", "49", "--format", "json")])
+def test_certify_commands_never_run_the_charpoly(monkeypatch, argv):
+    def refuse(rows):
+        raise AssertionError("the charpoly ran")
+    monkeypatch.setattr(coxeter, "_charpoly", refuse)
+    coxeter.build_hyperbolic_presentation.cache_clear()
+    code, out = run_cli(*argv)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("tamper,msg", [
+    ("a at (4,6)", "Gram entry (4,6) is off the diagram's pattern"),
+    ("entry (1,4)", "Gram entry (1,4) is off the diagram's pattern"),
+    ("D3 reads 0", "leading minor D3 of the F1..F4 block is zero"),
+])
+def test_tampered_gram_exits_3(monkeypatch, capsys, tamper, msg):
+    # the K0 Gram is edited past _exact_gram's own closed-form check
+    from tilinglinks.fields import AlgebraicNumber
+    p = coxeter.build_hyperbolic_presentation(7, 4)._replace()
+    rows = [list(r) for r in p._exact_gram]
+    a, b = -rows[0][1], -rows[0][2]
+    if tamper == "a at (4,6)":
+        rows[3][5] = rows[5][3] = -b
+    elif tamper == "entry (1,4)":
+        rows[0][3] = rows[3][0] = AlgebraicNumber.rational(p.ctx, -1)
+    else:
+        real = AlgebraicNumber.sign
+        d3 = 8 - 2 * (a * a + b * b)
+        monkeypatch.setattr(AlgebraicNumber, "sign",
+                            lambda x: 0 if x == d3 else real(x))
+    p.__dict__["_exact_gram"] = tuple(tuple(r) for r in rows)
+    monkeypatch.setattr(coxeter, "build_presentation", lambda m, n: p)
+    # text `gram` has printed the diagram by the time the gate runs
+    for argv in (("gram", "7", "4"), ("arithmetic", "7", "4", "--format", "json")):
+        assert run_cli(*argv)[0] == 3
+        assert capsys.readouterr().err == f"error: verification: {msg}\n"
+
+
 # sha256 of the canonical `--format json` stdout for types of field degree
 # 2 to 920, and of the classification commands that serialize the record
 # types: a change to the field layer or to a record must leave every byte
@@ -712,6 +777,13 @@ def test_geometry_commands_load_no_dataclasses():
               "--n", "4", "--samples", "10"],
              ["report", "--bound", "6", "--with-geometry", "--samples", "10"]]
     assert _probe_imports("dataclasses", argvs) == [[0, False]] * 2
+
+
+def test_cells_only_geometry_loads_no_exact_layer():
+    # `coxeter` imports `fields`, so neither is loaded
+    argvs = [["geometry-verify", "--cell", "tetrahedron", "--cell",
+              "octahedron", "--samples", "10"]]
+    assert _probe_imports("tilinglinks.fields", argvs) == [[0, False]]
 
 
 def test_bare_package_import_loads_no_submodule():

@@ -313,6 +313,86 @@ def test_validate_presentation_all_families():
         assert validate_presentation(p) == (4, 3, 1)
 
 
+# field degrees 120 to 432, and 1012 for (49, 47)
+_LARGE_TYPES = [(14, 33), (44, 14), (22, 42), (34, 24), (11, 31), (31, 20),
+                (30, 31), (43, 22), (22, 49), (38, 35), (49, 47)]
+_SPHERICAL_BOTH_WAYS = sorted(SPHERICAL_TYPES | {(n, m) for m, n in SPHERICAL_TYPES})
+
+
+def test_diagram_certificate_matches_charpoly_on_the_k0_rows():
+    # Berkowitz and Descartes on the same exact rows are the reference
+    for (m, n) in HYPERBOLIC_PAIRS_12 + _LARGE_TYPES:
+        p = build_hyperbolic_presentation(m, n)._replace()
+        assert coxeter._certify_inertia(p) == rank_and_signature(
+            [list(r) for r in p._exact_gram]) == (4, 3, 1), (m, n)
+    for (m, n) in _SPHERICAL_BOTH_WAYS:
+        p = build_spherical_presentation(m, n)
+        assert coxeter._certify_inertia(p) == rank_and_signature(
+            [list(r) for r in p.gram]) == (4, 3, 1), (m, n)
+
+
+def _with_k0_gram(p, edit):
+    """A fresh copy of p whose cached K0 Gram is p's with `edit` applied to
+    its rows: the certificate sees the edit, `_exact_gram`'s own closed-form
+    check does not run."""
+    rows = [list(r) for r in p._exact_gram]
+    edit(rows, p.ctx)
+    q = p._replace()
+    q.__dict__["_exact_gram"] = tuple(tuple(r) for r in rows)
+    return q
+
+
+def _set(i, j, value):
+    def edit(rows, ctx):
+        rows[i][j] = rows[j][i] = value(rows, ctx)
+    return edit
+
+
+# a wrong a at (4,6); an entry off the zero pattern; g66 off 2D by 1e-9;
+# an ideal entry -2 off by 1e-6 on the spherical family
+_TAMPERED = [
+    ((7, 4), _set(3, 5, lambda g, ctx: g[0][2]), "entry \\(4,6\\) is off"),
+    ((7, 4), _set(0, 3, lambda g, ctx: AlgebraicNumber.rational(ctx, -1)),
+     "entry \\(1,4\\) is off"),
+    ((7, 4), _set(5, 5, lambda g, ctx: g[5][5] + Fraction(1, 10**9)),
+     "kernel vector k2"),
+    ((5, 3), _set(2, 4, lambda g, ctx: g[2][4] + Fraction(1, 10**6)),
+     "entry \\(3,5\\) is off"),
+]
+
+
+@pytest.mark.parametrize("mn,edit,msg", _TAMPERED)
+def test_diagram_certificate_rejects_a_tampered_gram(mn, edit, msg):
+    q = _with_k0_gram(build_presentation(*mn), edit)
+    with pytest.raises(VerificationError, match=msg):
+        validate_presentation(q)
+
+
+def test_diagram_certificate_rejects_a_zero_minor(monkeypatch):
+    p = build_hyperbolic_presentation(9, 5)._replace()
+    a, b = -p._exact_gram[0][1], -p._exact_gram[0][2]
+    d3 = 8 - 2 * (a * a + b * b)
+    real = AlgebraicNumber.sign
+    monkeypatch.setattr(AlgebraicNumber, "sign",
+                        lambda x: 0 if x == d3 else real(x))
+    with pytest.raises(VerificationError, match="leading minor D3 "):
+        validate_presentation(p)
+
+
+def test_presentation_gate_never_runs_the_charpoly(monkeypatch):
+    from tilinglinks.lorentz import realize
+
+    def refuse(rows):
+        raise AssertionError("the charpoly ran on a presentation")
+    monkeypatch.setattr(coxeter, "_charpoly", refuse)
+    for (m, n) in [(6, 4), (5, 3), (4, 3)]:
+        p = build_presentation(m, n)._replace()
+        realize(p)
+        assert rank_and_signature(p) == (4, 3, 1)
+    with pytest.raises(AssertionError, match="charpoly ran"):
+        rank_and_signature(p.gram)
+
+
 # -- the exact kernel against the references it replaced ----------------------
 
 def faddeev_leverrier_charpoly(rows):

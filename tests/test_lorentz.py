@@ -7,7 +7,7 @@ from math import cos, log, pi, sin, sqrt
 import numpy as np
 import pytest
 
-from tilinglinks import lorentz
+from tilinglinks import coxeter
 from tilinglinks.coxeter import (SPHERICAL_TYPES, build_hyperbolic_presentation,
                                  build_presentation,
                                  build_spherical_presentation, face_lattice,
@@ -235,7 +235,8 @@ def test_realize_rejects_a_misplaced_vertex(m, n, old, new, monkeypatch):
     lattice = tuple(v._replace(kind=new[0], faces=new[1])
                     if (v.kind, v.faces) == old else v for v in face_lattice(p))
     assert lattice != face_lattice(p)
-    monkeypatch.setattr(lorentz, "face_lattice", lambda _: lattice)
+    # realize reads the lattice through the coxeter module when it runs
+    monkeypatch.setattr(coxeter, "face_lattice", lambda _: lattice)
     with pytest.raises(VerificationError, match="misplace"):
         realize(p)
 
