@@ -11,7 +11,9 @@ always a 2-cycle, matching the rational-cosine filter), and the per-entry
 minimal polynomials are only computed for certificates whose rationality
 condition holds -- those live in tiny fields.  The cyclic products of a
 hyperbolic presentation are taken on its certified K0-congruent Gram matrix
-(`coxeter.enumerate_cyclic_products`), so none is formed in K0(sqrt(D)).
+(`coxeter.enumerate_cyclic_products`), so each lies in K0; only the (4,6)
+and (5,6) entries are pure multiples u sqrt(D), whose minimal polynomials
+`fields.minimal_polynomial` takes from their squares in K0.
 """
 
 from __future__ import annotations

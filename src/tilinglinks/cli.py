@@ -163,6 +163,7 @@ def cmd_gram(args, out):
     if args.format == "json":
         out.write(_dump(presentation_json_dict(p)) + "\n")
         return 0
+    rank, pos, neg = rank_and_signature(p)  # the gate, before any output
     out.write(f"Coxeter presentation for [{p.m},{p.n},{p.m},{p.n}] "
               f"({p.family}), faces {', '.join(p.faces)}\n")
     for e in p.edges:
@@ -172,9 +173,8 @@ def cmd_gram(args, out):
                  if e.cosh_dist is not None else "")
         out.write(f"  F{e.i} -- F{e.j}: {label}{extra}\n")
     out.write("Gram matrix (exact; approximations shown):\n")
-    for row in p.gram:
-        out.write("  [" + "  ".join(f"{e.approx():12.8f}" for e in row) + "]\n")
-    rank, pos, neg = rank_and_signature(p)
+    for row in p._float_gram:
+        out.write("  [" + "  ".join(f"{v:12.8f}" for v in row) + "]\n")
     out.write(f"rank {rank}, signature ({pos},{neg})\n")
     return 0
 

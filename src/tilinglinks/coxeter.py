@@ -77,7 +77,7 @@ class _PresentationFields(NamedTuple):
 
 class CoxeterPresentation(_PresentationFields):
     """A Coxeter diagram and its exact Gram matrix; the subclass keeps a
-    `__dict__` for the cached `_exact_gram` and `_inertia`."""
+    `__dict__` for the cached `_exact_gram`, `_inertia` and `_float_gram`."""
 
     @property
     def size(self) -> int:
@@ -85,7 +85,7 @@ class CoxeterPresentation(_PresentationFields):
 
     def gram_float(self) -> "numpy.ndarray":
         import numpy as np  # float geometry only: keeps numpy off exact paths
-        return np.array([[e.approx() for e in row] for row in self.gram])
+        return np.array(self._float_gram)
 
     @cached_property
     def _exact_gram(self):
@@ -117,6 +117,21 @@ class CoxeterPresentation(_PresentationFields):
         """The exact (rank, n_positive, n_negative) of the Gram matrix, from
         `_certify_inertia`, once per presentation."""
         return _certify_inertia(self)
+
+    @cached_property
+    def _float_gram(self) -> tuple[tuple[float, ...], ...]:
+        """The rows of `gram` as the `approx` doubles, each distinct entry
+        object evaluated once: (i,j) and (j,i) are one object, and so are
+        the diagonal 2s and the zeros."""
+        memo = {}
+
+        def value(e):
+            v = memo.get(id(e))
+            if v is None:
+                v = memo[id(e)] = e.approx()
+            return v
+
+        return tuple(tuple(map(value, row)) for row in self.gram)
 
 
 def _presentation(m, n, family, ctx, extra=()):
@@ -325,7 +340,8 @@ def rank_and_signature(p: GramLike) -> tuple[int, int, int]:
         if pos + neg != rank:
             raise VerificationError("Descartes counts inconsistent with exact rank")
 
-    ev = _jacobi_eigenvalues([[e.approx() for e in row] for row in rows])
+    ev = _jacobi_eigenvalues(p._float_gram if presentation else
+                             [[e.approx() for e in row] for row in rows])
     num = (sum(1 for v in ev if v > 1e-9), sum(1 for v in ev if v < -1e-9),
            sum(1 for v in ev if abs(v) <= 1e-9))
     if num != (pos, neg, s - rank):

@@ -1,18 +1,18 @@
-"""Exact arithmetic in K0 = Q(2cos(pi/L)) and quadratic extensions K0(sqrt(D)).
+"""Exact arithmetic in K0 = Q(2cos(pi/L)), and on pure multiples u sqrt(D).
 
-Elements are coordinate vectors on the power basis of the generator
-g = 2cos(pi/L), stored as integer vectors with a common denominator, plus an
-optional second vector carrying the coefficient of sqrt(D) for a single
-adjoined square root.  All ring operations are exact.  Floating point enters
-only through `approx`/`sign`, which bound the value under the distinguished
-real embedding by a certified fixed-point enclosure: one integer dot product
-of the coefficients with a cached table of the generator's powers scaled by
-2^P, built in integers from 2cos(pi/L) rounded to fixed point.  Both double
-P until the enclosure decides them: `sign` once it excludes 0, `approx` once
-both of its ends also round to the same double, the correctly rounded value.
-The same tables, built from 2cos(k pi/L), give the conjugate embeddings
-that the square detection of `adjoin_sqrt` needs, so no numeric library is
-imported here.
+An element is u, a coordinate vector on the power basis of the generator
+g = 2cos(pi/L) stored as integers over a common denominator, or u sqrt(D)
+when it carries a radicand D in K0; a sum that mixes K0 with K0 sqrt(D), or
+two radicands, raises DomainError.  All ring operations are exact.
+Floating point enters only through `approx`/`sign`, which bound the value
+under the distinguished real embedding by a certified fixed-point
+enclosure: one integer dot product of the coefficients with a cached table
+of the generator's powers scaled by 2^P, built in integers from 2cos(pi/L)
+rounded to fixed point.  Both double P until the enclosure decides them:
+`sign` once it excludes 0, `approx` once both of its ends also round to the
+same double, the correctly rounded value.  The same tables, built from
+2cos(k pi/L), give the conjugate embeddings that the square detection of
+`adjoin_sqrt` needs, so no numeric library is imported here.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -157,13 +157,14 @@ def _base_enclosure(num, L, P, k):
 
 def _enclosure(x, P, k=1):
     """(lo, hi, D) with lo/D <= x <= hi/D under the embedding
-    g -> 2cos(k pi/L) (k = 1 the principal one), or None when the
-    radicand's enclosure does not exclude 0 at this P."""
+    g -> 2cos(k pi/L) (k = 1 the principal one).  A pure u sqrt(D) takes
+    the product of the enclosures of u and of sqrt(D), or None when D's
+    does not exclude 0 at this P."""
     L = x.ctx.L
     S, E = _base_enclosure(x.num, L, P, k)
-    if x.ext_num is None:
-        return S - E, S + E, x.den << P
     rad = x.radicand
+    if rad is None:
+        return S - E, S + E, x.den << P
     rs, re = _base_enclosure(rad.num, L, P, k)
     if rs + re < 0:
         raise VerificationError("radicand negative in this embedding")
@@ -174,14 +175,8 @@ def _enclosure(x, P, k=1):
     r_lo = ((rs - re) << P) // rad.den
     r_hi = -((-(rs + re) << P) // rad.den)
     s_lo, s_hi = isqrt(r_lo), isqrt(r_hi - 1) + 1
-    bs, be = _base_enclosure(x.ext_num, L, P, k)
-    ends = ((bs - be) * s_lo, (bs - be) * s_hi,
-            (bs + be) * s_lo, (bs + be) * s_hi)
-    # common denominator den * ext_den * 2^(2P)
-    a_scale, b_scale = x.ext_den << P, x.den
-    return ((S - E) * a_scale + min(ends) * b_scale,
-            (S + E) * a_scale + max(ends) * b_scale,
-            (x.den * x.ext_den) << (2 * P))
+    ends = ((S - E) * s_lo, (S - E) * s_hi, (S + E) * s_lo, (S + E) * s_hi)
+    return min(ends), max(ends), x.den << (2 * P)
 
 
 def _enclosures(x, k=1):
@@ -252,29 +247,27 @@ def _vmul(a, da, b, db, ctx):
 
 
 class AlgebraicNumber:
-    """An exact element of K0 = Q(2cos(pi/L)), or of K0(sqrt(D)).
+    """An exact element u = num/den of K0 = Q(2cos(pi/L)), or, when
+    `radicand` D (an element of K0) is set, the pure element u sqrt(D).
 
-    The optional (`ext_num`, `ext_den`) vector is the coefficient of
-    sqrt(radicand); at most one radicand may appear among elements that are
-    combined arithmetically.  Immutable: equal and hashed by its fields.
+    A product of a K0 element and a pure one is pure, and a product of two
+    pure elements over the same D is u v D, in K0.  A sum of a nonzero K0
+    element and a nonzero pure one, like any mix of two radicands, raises
+    DomainError.  Immutable: equal and hashed by its fields.
     """
 
-    __slots__ = ("ctx", "num", "den", "ext_num", "ext_den", "radicand")
+    __slots__ = ("ctx", "num", "den", "radicand")
 
     def __init__(self, ctx: FieldContext, num: tuple[int, ...], den: int,
-                 ext_num: Optional[tuple[int, ...]] = None, ext_den: int = 1,
                  radicand: Optional["AlgebraicNumber"] = None):
         set_ = object.__setattr__
         set_(self, "ctx", ctx)
         set_(self, "num", num)
         set_(self, "den", den)
-        set_(self, "ext_num", ext_num)
-        set_(self, "ext_den", ext_den)
         set_(self, "radicand", radicand)
 
     def _key(self):
-        return (self.ctx, self.num, self.den, self.ext_num, self.ext_den,
-                self.radicand)
+        return (self.ctx, self.num, self.den, self.radicand)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -306,38 +299,32 @@ class AlgebraicNumber:
         return embed_cos(ctx, ctx.L)
 
     @staticmethod
-    def _make(ctx, num, den, ext_num=None, ext_den=1, radicand=None):
+    def _make(ctx, num, den, radicand=None):
         num, den = _normalize(tuple(num), den)
-        if ext_num is not None:
-            ext_num, ext_den = _normalize(tuple(ext_num), ext_den)
-            if not any(ext_num):
-                ext_num, ext_den, radicand = None, 1, None
-        if ext_num is None:
-            radicand = None
-        return AlgebraicNumber(ctx, num, den, ext_num, ext_den, radicand)
+        return AlgebraicNumber(ctx, num, den, radicand if any(num) else None)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def base_coeffs(self) -> tuple[Fraction, ...]:
+        if self.radicand is not None:
+            return (Fraction(0),) * self.ctx.degree
         return tuple(Fraction(c, self.den) for c in self.num)
 
     @property
     def ext_coeffs(self) -> Optional[tuple[Fraction, ...]]:
-        if self.ext_num is None:
+        if self.radicand is None:
             return None
-        return tuple(Fraction(c, self.ext_den) for c in self.ext_num)
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    # the coefficient vector of sqrt(radicand) and its denominator, in the
+    # names perfbench/tracer.py reads for its coefficient-size metric
+    ext_num = property(lambda self: None if self.radicand is None else self.num)
+    ext_den = property(lambda self: self.den)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.num) and self.ext_num is None
-
-    def _merge_radicand(self, other):
-        if self.radicand is None:
-            return other.radicand
-        if other.radicand is None or self.radicand == other.radicand:
-            return self.radicand
-        raise DomainError("cannot combine elements with different square roots")
+        return not any(self.num)
 
     def _check_ctx(self, other):
         if self.ctx is not other.ctx and self.ctx != other.ctx:
@@ -350,23 +337,23 @@ class AlgebraicNumber:
         if other is NotImplemented:
             return NotImplemented
         self._check_ctx(other)
-        rad = self._merge_radicand(other)
-        num, den = _vadd(self.num, self.den, other.num, other.den)
-        if self.ext_num is None and other.ext_num is None:
-            return AlgebraicNumber._make(self.ctx, num, den)
-        e1 = self.ext_num or (0,) * self.ctx.degree
-        e2 = other.ext_num or (0,) * self.ctx.degree
-        ext = _vadd(e1, self.ext_den, e2, other.ext_den)
-        return AlgebraicNumber._make(self.ctx, num, den, *ext, rad)
+        if self.radicand != other.radicand:
+            if other.is_zero:
+                return self
+            if self.is_zero:
+                return other
+            raise DomainError("cannot add elements with different square "
+                              "roots (K0 and K0 sqrt(D) do not mix)")
+        return AlgebraicNumber._make(
+            self.ctx, *_vadd(self.num, self.den, other.num, other.den),
+            self.radicand)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return AlgebraicNumber._make(
-            self.ctx, tuple(-c for c in self.num), self.den,
-            None if self.ext_num is None else tuple(-c for c in self.ext_num),
-            self.ext_den, self.radicand)
+        return AlgebraicNumber(self.ctx, tuple(-c for c in self.num),
+                               self.den, self.radicand)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -382,28 +369,16 @@ class AlgebraicNumber:
         if other is NotImplemented:
             return NotImplemented
         self._check_ctx(other)
-        rad = self._merge_radicand(other)
-        ctx = self.ctx
-        a, da = self.num, self.den
-        b, db = self.ext_num, self.ext_den
-        c, dc = other.num, other.den
-        e, de = other.ext_num, other.ext_den
-        num, den = _vmul(a, da, c, dc, ctx)
-        if b is None and e is None:
-            return AlgebraicNumber._make(ctx, num, den)
-        ext_parts = []
-        if e is not None:
-            ext_parts.append(_vmul(a, da, e, de, ctx))
-        if b is not None:
-            ext_parts.append(_vmul(b, db, c, dc, ctx))
-        ext = ext_parts[0]
-        if len(ext_parts) == 2:
-            ext = _vadd(*ext_parts[0], *ext_parts[1])
-        if b is not None and e is not None:
-            bd, dbd = _vmul(b, db, e, de, ctx)
-            bdD = _vmul(bd, dbd, rad.num, rad.den, ctx)
-            num, den = _vadd(num, den, *bdD)
-        return AlgebraicNumber._make(ctx, num, den, *ext, rad)
+        ctx, rad = self.ctx, self.radicand
+        num, den = _vmul(self.num, self.den, other.num, other.den, ctx)
+        if rad is None or other.radicand is None:
+            return AlgebraicNumber._make(
+                ctx, num, den, other.radicand if rad is None else rad)
+        if rad != other.radicand:
+            raise DomainError("cannot multiply elements with different "
+                              "square roots")
+        # u sqrt(D) v sqrt(D) = u v D
+        return AlgebraicNumber._make(ctx, *_vmul(num, den, rad.num, rad.den, ctx))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -411,21 +386,10 @@ class AlgebraicNumber:
     def inverse(self) -> "AlgebraicNumber":
         if self.is_zero:
             raise ArithmeticError("division by zero")
-        ctx = self.ctx
-        if self.ext_num is None:
-            inv = _base_inverse(self.num, self.den, ctx)
-            return AlgebraicNumber._make(ctx, *inv)
-        # (a + b sqrt(D))^(-1) = (a - b sqrt(D)) / (a^2 - b^2 D)
-        a2 = _vmul(self.num, self.den, self.num, self.den, ctx)
-        b2 = _vmul(self.ext_num, self.ext_den, self.ext_num, self.ext_den, ctx)
-        b2D = _vmul(*b2, self.radicand.num, self.radicand.den, ctx)
-        norm = _vadd(*a2, *(tuple(-c for c in b2D[0]), b2D[1]))
-        if not any(norm[0]):
-            raise ArithmeticError("zero norm: radicand is a square in the base field")
-        ninv = _base_inverse(*norm, ctx)
-        num = _vmul(self.num, self.den, *ninv, ctx)
-        ext = _vmul(tuple(-c for c in self.ext_num), self.ext_den, *ninv, ctx)
-        return AlgebraicNumber._make(ctx, *num, *ext, self.radicand)
+        ctx, rad, u = self.ctx, self.radicand, (self.num, self.den)
+        if rad is not None:  # (u sqrt(D))^-1 = (u D)^-1 sqrt(D)
+            u = _vmul(*u, rad.num, rad.den, ctx)
+        return AlgebraicNumber._make(ctx, *_base_inverse(*u, ctx), rad)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -466,7 +430,7 @@ class AlgebraicNumber:
         instead: halfway between two doubles, every enclosure straddles it."""
         if self.is_zero:
             return 0.0
-        if self.ext_num is None and not any(self.num[1:]):
+        if self.radicand is None and not any(self.num[1:]):
             return _to_float(self.num[0], self.den)
         for lo, hi, D in _enclosures(self):
             if lo > 0 or hi < 0:
@@ -490,7 +454,7 @@ class AlgebraicNumber:
 
     def __repr__(self):
         return f"<{self.approx():.12g} in Q(2cos(pi/{self.ctx.L}))" + \
-            (" + sqrt ext>" if self.ext_num is not None else ">")
+            (" + sqrt ext>" if self.radicand is not None else ">")
 
 
 def _base_inverse(num, den, ctx):
@@ -560,9 +524,7 @@ def embed_cos(ctx: FieldContext, k: int) -> AlgebraicNumber:
 
 def is_rational(x: AlgebraicNumber) -> Optional[Fraction]:
     """The rational value of x when x is in Q, else None."""
-    if x.ext_num is not None:
-        return None
-    if any(x.num[1:]):
+    if x.radicand is not None or any(x.num[1:]):
         return None
     return Fraction(x.num[0] if x.num else 0, x.den)
 
@@ -570,13 +532,13 @@ def is_rational(x: AlgebraicNumber) -> Optional[Fraction]:
 def adjoin_sqrt(ctx: FieldContext, D: AlgebraicNumber) -> AlgebraicNumber:
     """Positive square root of D > 0.
 
-    Returns a base-field element when D is detected to be a perfect square
+    Returns a K0 element when D is detected to be a perfect square
     (rational squares exactly; K0 squares via a numeric candidate verified
-    exactly); otherwise an extension element with radicand D.
+    exactly); otherwise the pure element 1 sqrt(D).
     """
     if D.ctx != ctx:
         raise DomainError("radicand from a different field context")
-    if D.ext_num is not None:
+    if D.radicand is not None:
         raise DomainError("radicand must lie in the base field")
     if D.is_zero or D.sign() <= 0:
         raise DomainError("radicand must be positive under the real embedding")
@@ -590,9 +552,7 @@ def adjoin_sqrt(ctx: FieldContext, D: AlgebraicNumber) -> AlgebraicNumber:
         r = _detect_square(ctx, D)
         if r is not None:
             return r
-    unit = (1,) + (0,) * (ctx.degree - 1)
-    zero = (0,) * ctx.degree
-    return AlgebraicNumber._make(ctx, zero, 1, unit, 1, D)
+    return AlgebraicNumber(ctx, (1,) + (0,) * (ctx.degree - 1), 1, D)
 
 
 def _detect_square(ctx, D):
@@ -648,26 +608,24 @@ def _detect_square(ctx, D):
 
 def minimal_polynomial(x: AlgebraicNumber) -> tuple[Fraction, ...]:
     """Monic minimal polynomial of x over Q (low degree first), from the
-    first linear dependence among the powers of x on the field basis."""
-    ctx = x.ctx
-    dim = ctx.degree * (2 if x.ext_num is not None else 1)
+    first linear dependence among the powers of x on the power basis of K0.
 
-    def as_vec(el):
-        v = [Fraction(c, el.den) for c in el.num]
-        if dim == 2 * ctx.degree:
-            if el.ext_num is not None:
-                v += [Fraction(c, el.ext_den) for c in el.ext_num]
-            else:
-                v += [Fraction(0)] * ctx.degree
-        return v
-
+    A pure x = u sqrt(D) has q(t^2), q the minimal polynomial of x^2 = u^2 D
+    in K0: its even powers lie in K0 and its odd ones in K0 sqrt(D), so on
+    both the first dependence is that of the powers of x^2.  D is taken not
+    to be a square in K0, as `adjoin_sqrt` leaves it."""
+    if x.radicand is not None:
+        q = minimal_polynomial(x * x)
+        out = [Fraction(0)] * (2 * len(q) - 1)
+        out[::2] = q
+        return tuple(out)
+    dim = x.ctx.degree
     # incremental echelon with combination tracking
     pivots = []  # (col, row_vec, combo)
-    power = AlgebraicNumber.rational(ctx, 1)
-    combo_len = dim + 1
+    power = AlgebraicNumber.rational(x.ctx, 1)
     for k in range(dim + 1):
-        vec = as_vec(power)
-        combo = [Fraction(0)] * combo_len
+        vec = [Fraction(c, power.den) for c in power.num]
+        combo = [Fraction(0)] * (dim + 1)
         combo[k] = Fraction(1)
         for col, row, rc in pivots:
             f = vec[col]
@@ -677,8 +635,7 @@ def minimal_polynomial(x: AlgebraicNumber) -> tuple[Fraction, ...]:
         nz = next((i for i, c in enumerate(vec) if c), None)
         if nz is None:
             lead = combo[k]
-            mono = tuple(c / lead for c in combo[:k + 1])
-            return mono
+            return tuple(c / lead for c in combo[:k + 1])
         lead = vec[nz]
         vec = [c / lead for c in vec]
         combo = [c / lead for c in combo]
@@ -705,11 +662,13 @@ def _pairs(num, den):
 
 
 def as_json_dict(x: AlgebraicNumber) -> dict:
+    """u sqrt(D) writes zeros as `base`, u as `ext` and D as `radicand`."""
+    pure = x.radicand is not None
     return {
         "L": x.ctx.L,
-        "base": _pairs(x.num, x.den),
-        "ext": None if x.ext_num is None else _pairs(x.ext_num, x.ext_den),
-        "radicand": None if x.radicand is None else as_json_dict(x.radicand),
+        "base": _pairs((0,) * x.ctx.degree, 1) if pure else _pairs(x.num, x.den),
+        "ext": _pairs(x.num, x.den) if pure else None,
+        "radicand": as_json_dict(x.radicand) if pure else None,
         "approx": x.approx(),
     }
 

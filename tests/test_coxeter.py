@@ -393,6 +393,42 @@ def test_presentation_gate_never_runs_the_charpoly(monkeypatch):
         rank_and_signature(p.gram)
 
 
+def test_float_gram_evaluates_each_entry_once(monkeypatch):
+    """`realize` and text `gram` read one float Gram per presentation:
+    `approx` runs once per distinct Gram entry object (8 of them at
+    (49,47)), where `gram_float`, the Jacobi cross-check and the printed
+    rows each evaluated all 36 entries.  Text `gram` also prints the two
+    cosh distances, each with the value of their one radicand D."""
+    import contextlib
+    import io
+    from collections import Counter
+    from tilinglinks import cli
+    from tilinglinks.lorentz import realize
+    calls = Counter()
+    real = AlgebraicNumber.approx
+
+    def counting(x):
+        calls[id(x)] += 1
+        return real(x)
+
+    monkeypatch.setattr(AlgebraicNumber, "approx", counting)
+    p = build_hyperbolic_presentation(49, 47)._replace()
+    entries = {id(e) for row in p.gram for e in row}
+    realize(p)
+    assert len(entries) == 8 and calls == Counter(dict.fromkeys(entries, 1))
+
+    calls.clear()
+    p = p._replace()
+    monkeypatch.setattr(coxeter, "build_presentation", lambda m, n: p)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gram", "49", "47"]) == 0
+    cosh = [e.cosh_dist for e in p.edges if e.cosh_dist is not None]
+    radicand = cosh[0].radicand
+    assert cosh[1].radicand is radicand
+    assert calls == Counter({**dict.fromkeys(entries, 1),
+                             id(cosh[0]): 1, id(cosh[1]): 1, id(radicand): 2})
+
+
 # -- the exact kernel against the references it replaced ----------------------
 
 def faddeev_leverrier_charpoly(rows):

@@ -229,10 +229,12 @@ def test_elements_and_contexts_are_immutable_values():
     import pickle
     ctx = make_context(12)
     root5 = adjoin_sqrt(ctx, AlgebraicNumber.rational(ctx, 5))
-    x = embed_cos(ctx, 12) + root5
-    y = AlgebraicNumber(ctx, x.num, x.den, x.ext_num, x.ext_den, x.radicand)
+    x = embed_cos(ctx, 12) * root5
+    y = AlgebraicNumber(ctx, x.num, x.den, x.radicand)
     assert x == y and hash(x) == hash(y) and x != root5
-    assert x != (ctx, x.num, x.den, x.ext_num, x.ext_den, x.radicand)
+    assert x != (ctx, x.num, x.den, x.radicand)
+    with pytest.raises(DomainError):
+        embed_cos(ctx, 12) + root5
     for z in (x, ctx):
         assert pickle.loads(pickle.dumps(z)) == z
         assert copy.deepcopy(z) == z and copy.copy(z) == z
@@ -298,8 +300,8 @@ def test_embedding_is_ring_homomorphism(data):
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_inverse_times_element_is_one_high_degree(data):
-    """x * x.inverse() == 1 for base elements and for elements of
-    K0(sqrt(2 + g)); 2 + g = (2cos(pi/2L))^2 is not a square in K0."""
+    """x * x.inverse() == 1 for base elements and for pure elements
+    u sqrt(2 + g); 2 + g = (2cos(pi/2L))^2 is not a square in K0."""
     L = data.draw(st.sampled_from([7, 15, 91]))
     ctx = make_context(L)
     one = AlgebraicNumber.rational(ctx, 1)
@@ -311,7 +313,7 @@ def test_inverse_times_element_is_one_high_degree(data):
     if not x.is_zero:
         assert x * x.inverse() == one
     D = AlgebraicNumber.generator(ctx) + 2
-    y = AlgebraicNumber._make(ctx, a, den, b, ext_den, D)
+    y = AlgebraicNumber._make(ctx, b, ext_den, D)
     if not y.is_zero:
         assert y * y.inverse() == one
 
@@ -357,6 +359,23 @@ def test_distinct_radicands_rejected():
     s3 = adjoin_sqrt(ctx, AlgebraicNumber.rational(ctx, Fraction(1, 3)))
     with pytest.raises(DomainError):
         s2 + s3
+    with pytest.raises(DomainError):
+        s2 * s3
+
+
+def test_mixed_sums_rejected():
+    """K0 and K0 sqrt(D) do not mix in a sum, in either order and through
+    subtraction; a zero on either side is the identity of both."""
+    ctx = make_context(12)
+    g = AlgebraicNumber.generator(ctx)
+    zero = AlgebraicNumber.rational(ctx, 0)
+    s = adjoin_sqrt(ctx, AlgebraicNumber.rational(ctx, Fraction(1, 2)))
+    for mix in (lambda: g + s, lambda: s + g, lambda: s - 1, lambda: 1 - s,
+                lambda: g * s + g, lambda: s * s + s):
+        with pytest.raises(DomainError):
+            mix()
+    assert s + zero == zero + s == s - 0 == s
+    assert (s * s + g).radicand is None and (g * s - s * g).is_zero
 
 
 # -- adjoin_sqrt -------------------------------------------------------------
@@ -365,7 +384,7 @@ def test_sqrt_rational_perfect_square():
     ctx = make_context(12)
     q = AlgebraicNumber.rational(ctx, Fraction(1, 4))
     r = adjoin_sqrt(ctx, q)
-    assert r.ext_num is None
+    assert r.radicand is None
     assert r == AlgebraicNumber.rational(ctx, Fraction(1, 2))
 
 
@@ -378,7 +397,7 @@ def test_sqrt_one():
 def test_sqrt_genuine_extension():
     ctx = make_context(6)
     r = adjoin_sqrt(ctx, AlgebraicNumber.rational(ctx, Fraction(1, 2)))
-    assert r.ext_num is not None
+    assert r.radicand is not None
     assert abs(r.approx() - 0.7071067811865476) < 1e-12
 
 
@@ -387,7 +406,7 @@ def test_sqrt_detects_field_square():
     g = AlgebraicNumber.generator(ctx)
     el = (g + 1) * (g + 1)
     r = adjoin_sqrt(ctx, el)
-    assert r.ext_num is None and r == g + 1
+    assert r.radicand is None and r == g + 1
 
 
 @pytest.mark.parametrize("L,coeffs", [
@@ -408,7 +427,7 @@ def test_sqrt_detects_field_square_of_mixed_element(L, coeffs):
         x = x + c * g ** i
     assert is_rational(x * x) is None
     r = adjoin_sqrt(ctx, x * x)
-    assert r.ext_num is None and r.sign() > 0
+    assert r.radicand is None and r.sign() > 0
     assert r == (x if x.sign() > 0 else -x)
 
 
@@ -421,7 +440,7 @@ def test_sqrt_of_discriminant(m, n, square):
     D = cm * cm + cn * cn - 1
     assert ctx.degree == 8 and is_rational(D) is None
     r = adjoin_sqrt(ctx, D)
-    assert (r.ext_num is None) == square
+    assert (r.radicand is None) == square
     assert r * r == D and r.sign() > 0
     if square:
         g = AlgebraicNumber.generator(ctx)
@@ -436,7 +455,7 @@ def test_sqrt_of_totally_positive_non_square(L):
     D = 3 + AlgebraicNumber.generator(ctx)
     assert ctx.degree == 8
     r = adjoin_sqrt(ctx, D)
-    assert r.ext_num is not None and r.radicand == D
+    assert r.radicand == D
     assert r * r == D and r.sign() > 0
 
 
@@ -486,6 +505,20 @@ def test_minpoly_examples():
 def test_minpoly_matches_sympy(expr, L, builder):
     ctx = make_context(L)
     assert minimal_polynomial(builder(ctx)) == sympy_minpoly_coeffs(expr)
+
+
+@pytest.mark.parametrize("m", [6, 5])
+def test_minpoly_of_pure_gram_entries_matches_sympy(m):
+    """The face-6 entries -2cos(pi/m)/sqrt(D) of (m,m), D = 2cos^2(pi/m) - 1
+    not a square in K0, are pure: their minimal polynomial is q(t^2), q
+    that of their square in K0 (-sqrt(6) at (6,6))."""
+    from tilinglinks.coxeter import build_hyperbolic_presentation
+    p = build_hyperbolic_presentation(m, m)
+    c = sp.cos(sp.pi / m)
+    want = sympy_minpoly_coeffs(-2 * c / sp.sqrt(2 * c**2 - 1))
+    for x in (p.gram[3][5], p.gram[4][5]):
+        assert x.radicand is not None
+        assert minimal_polynomial(x) == want
 
 
 def test_minpoly_annihilates_element():
@@ -599,7 +632,8 @@ def _eval_certified(x, prec):
         eps = mpmath.mpf(2) ** (-prec + 8)
         v, mag = _eval_vec_bounded(x.num, x.den, gval)
         err = (mag + 1) * eps * (len(x.num) + 2)
-        if x.ext_num is not None:
+        if x.radicand is not None:
+            # x = u sqrt(radicand), u the value v within err
             rv, rerr = _eval_certified(x.radicand, prec)
             if rv <= 2 * rerr:
                 if rv < -2 * rerr:
@@ -608,10 +642,8 @@ def _eval_certified(x, prec):
                 return v, mpmath.inf  # cannot certify, force escalation
             root = mpmath.sqrt(rv)
             root_err = rerr / (2 * root) + root * eps
-            ev, emag = _eval_vec_bounded(x.ext_num, x.ext_den, gval)
-            eerr = (emag + 1) * eps * (len(x.ext_num) + 2)
-            v += ev * root
-            err += abs(ev) * root_err + eerr * (root + root_err) + abs(v) * eps
+            v, err = v * root, abs(v) * root_err + err * (root + root_err)
+            err += abs(v) * eps
         return v, err
 
 
@@ -804,14 +836,31 @@ def test_approx_and_sign_need_no_mpmath(monkeypatch):
 
 @pytest.mark.parametrize("L", [12, 2068])
 def test_undecidable_element_gives_up_at_the_cap(L):
-    """c - sqrt(c^2) with c = g + 3 is exactly zero, but with c^2 as a
-    radicand `is_zero` cannot see it, and every enclosure contains 0:
-    `sign` and `approx` must raise once P passes the cap."""
+    """c - sqrt(c^2) with c = g + 3, exactly zero, cannot be formed: a K0
+    element and a pure one do not add.  g - p/q for a continued-fraction
+    convergent p/q of g = 2cos(pi/L) past q = 2^8300 is nonzero but below
+    2^-16600, so every enclosure up to the cap P = 2^14 contains 0: `sign`
+    and `approx` must raise once P passes the cap."""
+    import mpmath
     ctx = make_context(L)
-    c = AlgebraicNumber.generator(ctx) + 3
-    minus_one = (-1,) + (0,) * (ctx.degree - 1)
-    x = AlgebraicNumber._make(ctx, c.num, c.den, minus_one, 1, c * c)
-    assert not x.is_zero
+    g = AlgebraicNumber.generator(ctx)
+    c, unit = g + 3, (1,) + (0,) * (ctx.degree - 1)
+    with pytest.raises(DomainError):
+        c - AlgebraicNumber._make(ctx, unit, 1, c * c)
+    W = 17000
+    with mpmath.workprec(W + 64):
+        gval = 2 * mpmath.cos(mpmath.pi / L)
+        # continued fraction of the W-bit truncation a / b of g
+        a, b = int(mpmath.floor(mpmath.ldexp(gval, W))), 1 << W
+        (p0, q0), (p1, q1) = (0, 1), (1, 0)
+        while q1 <= 1 << 8300:
+            t = a // b
+            a, b = b, a - t * b
+            (p0, q0), (p1, q1) = (p1, q1), (t * p1 + p0, t * q1 + q0)
+        true = gval - mpmath.mpf(p1) / q1
+        assert 0 < abs(true) < mpmath.mpf(2) ** -16600
+    x = g - Fraction(p1, q1)
+    assert fields._MAX_PREC == 1 << 14 and not x.is_zero
     with pytest.raises(VerificationError, match="too close to zero"):
         x.sign()
     with pytest.raises(VerificationError, match="too close to zero"):
@@ -821,10 +870,9 @@ def test_undecidable_element_gives_up_at_the_cap(L):
 def test_negative_radicand_raises():
     ctx = make_context(12)
     unit = (1,) + (0,) * (ctx.degree - 1)
-    zero = (0,) * ctx.degree
     for rad in (AlgebraicNumber.rational(ctx, -2),
                 AlgebraicNumber.generator(ctx) - 5):
-        x = AlgebraicNumber._make(ctx, zero, 1, unit, 1, rad)
+        x = AlgebraicNumber._make(ctx, unit, 1, rad)
         with pytest.raises(VerificationError, match="radicand negative"):
             x.sign()
         with pytest.raises(VerificationError, match="radicand negative"):
@@ -845,14 +893,15 @@ def test_is_rational_examples():
 # -- serialization -------------------------------------------------------------
 
 def from_json_dict(d):
-    """The AlgebraicNumber that `as_json_dict` wrote as `d`."""
+    """The AlgebraicNumber that `as_json_dict` wrote as `d`: a pure one
+    has a zero `base`, its coefficient as `ext` and its `radicand`."""
     ctx = make_context(d["L"])
     num, den = _frac_list_to_vec(d["base"], ctx.degree)
     if d["ext"] is None:
         return AlgebraicNumber._make(ctx, num, den)
-    ext_num, ext_den = _frac_list_to_vec(d["ext"], ctx.degree)
-    rad = from_json_dict(d["radicand"])
-    return AlgebraicNumber._make(ctx, num, den, ext_num, ext_den, rad)
+    assert not any(num)
+    u, u_den = _frac_list_to_vec(d["ext"], ctx.degree)
+    return AlgebraicNumber._make(ctx, u, u_den, from_json_dict(d["radicand"]))
 
 
 def _frac_list_to_vec(pairs, degree):
@@ -865,7 +914,7 @@ def _frac_list_to_vec(pairs, degree):
 def test_json_roundtrip_with_extension():
     ctx = make_context(6)
     s = adjoin_sqrt(ctx, AlgebraicNumber.rational(ctx, Fraction(1, 2)))
-    x = (embed_cos(ctx, 6) / 3 - 2) * s + 7
+    x = (embed_cos(ctx, 6) / 3 - 2) * s
     d = as_json_dict(x)
     assert d["L"] == 6 and isinstance(d["approx"], float)
     assert from_json_dict(d) == x

@@ -84,7 +84,7 @@ def test_worksheets_stay_in_k0(m, n):
     for strategy, seed in [("bfs", 0)] + [("random", s) for s in range(12)]:
         w = build_worksheet(p, strategy, seed)
         assert len(w.coeffs) == 4
-        assert all(x.ext_num is None for x in w.coeffs + (w.det,))
+        assert all(x.radicand is None for x in w.coeffs + (w.det,))
         if w.coeffs not in want:
             c = w.coeffs[0] * w.coeffs[1] * w.coeffs[2] * w.coeffs[3]
             want[w.coeffs] = block * c * c
