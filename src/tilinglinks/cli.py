@@ -118,7 +118,8 @@ def _dump(obj) -> str:
     return enc(obj, "")
 
 
-def _fmt_exact(x) -> str:
+def _fmt_exact(x, radicands) -> str:
+    # radicands: id(D) -> D's value, for the elements of one command
     def terms(coeffs):
         return ",".join(f"{f.numerator}/{f.denominator}" if f.denominator != 1
                         else str(f.numerator) for f in coeffs)
@@ -126,7 +127,10 @@ def _fmt_exact(x) -> str:
     s = f"{x.approx():.12g} (= [{terms(x.base_coeffs)}]"
     ext = x.ext_coeffs
     if ext is not None:
-        s += f" + [{terms(ext)}]*sqrt({x.radicand.approx():.12g})"
+        r = radicands.get(id(x.radicand))
+        if r is None:
+            r = radicands[id(x.radicand)] = x.radicand.approx()
+        s += f" + [{terms(ext)}]*sqrt({r:.12g})"
     return s + f" over L={x.ctx.L})"
 
 
@@ -166,10 +170,11 @@ def cmd_gram(args, out):
     rank, pos, neg = rank_and_signature(p)  # the gate, before any output
     out.write(f"Coxeter presentation for [{p.m},{p.n},{p.m},{p.n}] "
               f"({p.family}), faces {', '.join(p.faces)}\n")
+    radicands = {}
     for e in p.edges:
         label = {"angle": f"angle pi/{e.order}", "ideal": "ideal (infinity)",
                  "ultraparallel": "ultraparallel"}[e.kind]
-        extra = (f", cosh distance {_fmt_exact(e.cosh_dist)}"
+        extra = (f", cosh distance {_fmt_exact(e.cosh_dist, radicands)}"
                  if e.cosh_dist is not None else "")
         out.write(f"  F{e.i} -- F{e.j}: {label}{extra}\n")
     out.write("Gram matrix (exact; approximations shown):\n")
@@ -213,7 +218,7 @@ def cmd_tracefield(args, out):
         out.write(_dump(trace_field_json_dict(res)) + "\n")
         return 0
     out.write(f"adjoint trace field rational: {res.adjoint_rational}\n")
-    out.write(f"det G' = {_fmt_exact(res.discriminant_det)}\n")
+    out.write(f"det G' = {_fmt_exact(res.discriminant_det, {})}\n")
     out.write(f"invariant trace field: {res.invariant_field.label}\n")
     return 0
 

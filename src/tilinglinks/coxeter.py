@@ -25,7 +25,7 @@ from math import copysign, hypot, lcm, sqrt
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import DomainError, GeometryError, VerificationError
-from .fields import (AlgebraicNumber, FieldContext, adjoin_sqrt, as_json_dict,
+from .fields import (AlgebraicNumber, FieldContext, _json_dict, adjoin_sqrt,
                      embed_cos, make_context)
 
 SPHERICAL_TYPES = {(3, 3), (4, 3), (5, 3)}
@@ -77,7 +77,7 @@ class _PresentationFields(NamedTuple):
 
 class CoxeterPresentation(_PresentationFields):
     """A Coxeter diagram and its exact Gram matrix; the subclass keeps a
-    `__dict__` for the cached `_exact_gram`, `_inertia` and `_float_gram`."""
+    `__dict__` for the cached `_certified`, `_cycles` and `_float_gram`."""
 
     @property
     def size(self) -> int:
@@ -88,35 +88,13 @@ class CoxeterPresentation(_PresentationFields):
         return np.array(self._float_gram)
 
     @cached_property
-    def _exact_gram(self):
-        """The Gram matrix the exact layers read: `gram` of a spherical
-        presentation, S*G*S with S = diag(1,...,1,sqrt D) of a hyperbolic one.
-
-        S*G*S is congruent to G, so it has the same rank and inertia
-        (Sylvester's law), and every entry lies in K0: (4,6) and (5,6) become
-        -2cos(pi/m) and -2cos(pi/n), (6,6) becomes 2D.  Each scaled
-        off-diagonal entry of face 6 is certified exactly against that closed
-        form, once per presentation; (6,6) is G66 * D exactly.
-        """
-        if self.family != "hyperbolic":
-            return self.gram
-        _, cm, cn, D, _, root, _, _ = _hyperbolic_cosh_data(self.m, self.n)
-        zero = AlgebraicNumber.rational(self.ctx, 0)
-        rows = [list(r) for r in self.gram]
-        for i, want in enumerate((zero, zero, zero, -2 * cm, -2 * cn)):
-            if rows[5][i] != rows[i][5] or rows[i][5] * root != want:
-                raise VerificationError(
-                    f"Gram entry ({i + 1},6) times sqrt(D) disagrees with its "
-                    "closed form in K0")
-            rows[i][5] = rows[5][i] = want
-        rows[5][5] = rows[5][5] * D
-        return tuple(tuple(r) for r in rows)
+    def _certified(self):
+        """`_certify(self)`, once: the only way to the K0 Gram and inertia."""
+        return _certify(self)
 
     @cached_property
-    def _inertia(self):
-        """The exact (rank, n_positive, n_negative) of the Gram matrix, from
-        `_certify_inertia`, once per presentation."""
-        return _certify_inertia(self)
+    def _cycles(self):
+        return _cyclic_products(self)
 
     @cached_property
     def _float_gram(self) -> tuple[tuple[float, ...], ...]:
@@ -300,48 +278,37 @@ GramLike = Union[CoxeterPresentation, Sequence[Sequence[AlgebraicNumber]]]
 def rank_and_signature(p: GramLike) -> tuple[int, int, int]:
     """(rank, n_positive, n_negative), exact, cross-checked numerically.
 
-    Raw rows: the rank is s minus the number of trailing zero coefficients
-    of the exact characteristic polynomial (`_charpoly`), the signature
-    comes from Descartes' rule on it.  A presentation: its cached
-    `_inertia`, certified from identities of the diagram's K0 Gram g, with
-    a = -g12 = 2cos(pi/m), b = -g13 = 2cos(pi/n) and B = g[F1..F4]
-    (`_certify_inertia`):
-      - g k = 0 for k1 = (0, b, -a, b, -a, 0) (spherical: without F6) and
-        k2 = (2a, 4 - b^2, ab, 4 - a^2 - b^2, 0, -2a), which holds iff
-        g66 = 2D, 4D = a^2 + b^2 - 4: rank <= 4;
-      - B's leading minors are 2, 4 - a^2, 8 - 2a^2 - 2b^2 = -8D and
-        det B = -4a^2 != 0: rank 4 and G = B + 0 up to congruence, whose
-        negative eigenvalues Jacobi's rule counts as the sign changes of
-        1, 2, 4 - a^2, -8D, -4a^2.
-
-    The numeric cross-check always uses the original Gram matrix: its float
-    eigenvalues, from the cyclic Jacobi method on the `approx` doubles, are
-    counted against the thresholds +-1e-9, and a disagreement with the exact
-    counts, like a Jacobi iteration that does not converge, raises
-    `VerificationError`.
+    A presentation: the inertia `_certify` proved for it, once.  Raw rows:
+    the rank is s minus the number of trailing zero coefficients of the
+    exact characteristic polynomial (`_charpoly`), the signature comes from
+    Descartes' rule on it, and `_check_numeric` cross-checks the counts on
+    the rows' `approx` doubles.
     """
-    presentation = isinstance(p, CoxeterPresentation)
-    rows = p.gram if presentation else p
-    s = len(rows)
-    if presentation:
-        rank, pos, neg = p._inertia
-    else:
-        coeffs = _charpoly(rows)  # lambda^s .. constant term
-        trailing = 0
-        while trailing < s and coeffs[s - trailing].is_zero:
-            trailing += 1
-        rank = s - trailing
-        reduced = coeffs[:s - trailing + 1]
-        signs = [c.sign() for c in reduced if not c.is_zero]
-        pos = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-        alt = [c.sign() * (-1) ** (len(reduced) - 1 - i)
-               for i, c in enumerate(reduced) if not c.is_zero]
-        neg = sum(1 for a, b in zip(alt, alt[1:]) if a != b)
-        if pos + neg != rank:
-            raise VerificationError("Descartes counts inconsistent with exact rank")
+    if isinstance(p, CoxeterPresentation):
+        return p._certified[1]
+    s = len(p)
+    coeffs = _charpoly(p)  # lambda^s .. constant term
+    trailing = 0
+    while trailing < s and coeffs[s - trailing].is_zero:
+        trailing += 1
+    rank = s - trailing
+    reduced = coeffs[:s - trailing + 1]
+    signs = [c.sign() for c in reduced if not c.is_zero]
+    pos = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    alt = [c.sign() * (-1) ** (len(reduced) - 1 - i)
+           for i, c in enumerate(reduced) if not c.is_zero]
+    neg = sum(1 for a, b in zip(alt, alt[1:]) if a != b)
+    if pos + neg != rank:
+        raise VerificationError("Descartes counts inconsistent with exact rank")
+    return _check_numeric([[e.approx() for e in row] for row in p], rank, pos, neg)
 
-    ev = _jacobi_eigenvalues(p._float_gram if presentation else
-                             [[e.approx() for e in row] for row in rows])
+
+def _check_numeric(floats, rank, pos, neg):
+    """(rank, pos, neg) once the cyclic Jacobi method's float eigenvalues of
+    the rows `floats`, counted against +-1e-9, agree; VerificationError when
+    they do not, or when the iteration does not converge."""
+    s = len(floats)
+    ev = _jacobi_eigenvalues(floats)
     num = (sum(1 for v in ev if v > 1e-9), sum(1 for v in ev if v < -1e-9),
            sum(1 for v in ev if abs(v) <= 1e-9))
     if num != (pos, neg, s - rank):
@@ -389,10 +356,34 @@ def _jacobi_eigenvalues(a):
         f"{_JACOBI_SWEEPS} Jacobi sweeps")
 
 
-def _certify_inertia(p: CoxeterPresentation) -> tuple[int, int, int]:
-    """The identities of `rank_and_signature`'s docstring, checked in K0;
-    VerificationError names the first that fails."""
-    g = p._exact_gram
+def _certify(p: CoxeterPresentation):
+    """(g, (rank, n_positive, n_negative)) of p's K0 Gram g, handed out once
+    all of these hold; VerificationError names the first that fails.
+
+    g is `gram` of a spherical presentation and S*G*S, S = diag(1,...,1,
+    sqrt D), of a hyperbolic one.  S*G*S is congruent to G, so it has the
+    same rank and inertia (Sylvester's law).  With a = -g12 = 2cos(pi/m),
+    b = -g13 = 2cos(pi/n) and B = g[F1..F4]:
+      - every entry but g66 follows the diagram's pattern in a and b; so
+        the scaled (4,6) and (5,6) are -a and -b, and g lies in K0;
+      - g k = 0 for k1 = (0, b, -a, b, -a, 0) (spherical: without F6) and
+        k2 = (2a, 4 - b^2, ab, 4 - a^2 - b^2, 0, -2a), which holds iff
+        g66 = 2D, 4D = a^2 + b^2 - 4: rank <= 4;
+      - B's leading minors are 2, 4 - a^2, 8 - 2a^2 - 2b^2 = -8D and
+        det B = -4a^2 != 0: rank 4 and G = B + 0 up to congruence, whose
+        negative eigenvalues Jacobi's rule counts as the sign changes of
+        1, 2, 4 - a^2, -8D, -4a^2;
+      - `_check_numeric` agrees on the original Gram's `_float_gram`.
+    """
+    rows = [list(r) for r in p.gram]
+    if p.family == "hyperbolic":
+        _, _, _, D, _, root, _, _ = _hyperbolic_cosh_data(p.m, p.n)
+        for i in range(5):
+            rows[i][5] = p.gram[i][5] * root
+            rows[5][i] = (rows[i][5] if p.gram[5][i] is p.gram[i][5]
+                          else p.gram[5][i] * root)
+        rows[5][5] = p.gram[5][5] * D
+    g = tuple(tuple(r) for r in rows)
     s = len(g)
     a, b = -g[0][1], -g[0][2]
     two, zero = (AlgebraicNumber.rational(p.ctx, v) for v in (2, 0))
@@ -421,17 +412,14 @@ def _certify_inertia(p: CoxeterPresentation) -> tuple[int, int, int]:
         raise VerificationError(f"leading minor D{signs.index(0)} of the "
                                 "F1..F4 block is zero")
     neg = sum(x != y for x, y in zip(signs, signs[1:]))
-    return 4, 4 - neg, neg
+    return g, _check_numeric(p._float_gram, 4, 4 - neg, neg)
 
 
 def validate_presentation(p: CoxeterPresentation) -> tuple[int, int, int]:
     """Rank/signature gate: every polyhedral Gram matrix here must have
-    rank 4 and signature (3,1).  `rank_and_signature` certifies it from the
-    diagram: two kernel vectors of the K0 Gram (rank <= 4), det B = -4a^2
-    != 0 for its F1..F4 block B (rank >= 4), and Jacobi's rule on B's
-    leading minors 2, 4 - a^2, -8D, -4a^2 (one sign change on both
-    families: D > 0 hyperbolic, D < 0 spherical); then the Jacobi
-    eigenvalues of the float Gram must agree."""
+    rank 4 and signature (3,1), which `_certify` proves from the diagram
+    once per presentation (one sign change among the leading minors on both
+    families: D > 0 hyperbolic, D < 0 spherical)."""
     rank, pos, neg = rank_and_signature(p)
     if (rank, pos, neg) != (4, 3, 1):
         raise GeometryError(
@@ -450,13 +438,13 @@ def diagram_adjacency(p: CoxeterPresentation) -> list[list[bool]]:
 
 def _walk_product(p: CoxeterPresentation, faces) -> AlgebraicNumber:
     """The product of `p.gram` entries along the walk `faces` (0-based),
-    which neither begins nor ends at face 6, taken in K0 on `p._exact_gram`.
+    which neither begins nor ends at face 6, taken on the certified K0 Gram.
 
     S*G*S scales the entries of face 6, which only the hyperbolic diagram
     has, by sqrt(D); a walk crosses two of them at each visit, so the
     product is multiplied by D^-1 once per visit.  No factor carries sqrt(D).
     """
-    g = p._exact_gram
+    g = p._certified[0]
     val = g[faces[0]][faces[1]]
     for a, b in zip(faces[1:], faces[2:]):
         val = val * g[a][b]
@@ -468,10 +456,13 @@ def _walk_product(p: CoxeterPresentation, faces) -> AlgebraicNumber:
 def enumerate_cyclic_products(p: CoxeterPresentation):
     """All cyclic products b_I over simple cycles of the diagram, including
     every 2-cycle a_ij * a_ji; deterministic order (by length, then faces).
+    A fresh copy of the presentation's one list."""
+    return list(p._cycles)
 
-    Each product is `_walk_product` of the closed walk from the cycle's
-    least face, which is never face 6, so every one lies in K0.
-    """
+
+def _cyclic_products(p):
+    """The list behind `enumerate_cyclic_products`: each product is the
+    `_walk_product` of a closed walk from its least face (never face 6)."""
     s = p.size
     adj = diagram_adjacency(p)
 
@@ -553,15 +544,15 @@ def face_lattice(p: CoxeterPresentation) -> tuple[Vertex, ...]:
 # -- serialization -----------------------------------------------------------
 
 def presentation_json_dict(p: CoxeterPresentation) -> dict:
-    # entries (i,j) and (j,i) are one object, and each as_json_dict runs a
-    # certified approx: serialize every distinct object once (by identity,
-    # while p keeps them alive) and share the resulting dict
+    # (i,j) and (j,i) are one object, the pure elements share one radicand
+    # D, and each dict runs a certified approx: serialize every distinct
+    # object once (by identity, while p keeps them alive), sharing its dict
     memo = {}
 
     def ser(x):
         d = memo.get(id(x))
         if d is None:
-            d = memo[id(x)] = as_json_dict(x)
+            d = memo[id(x)] = _json_dict(x, ser)
         return d
 
     def edge_dict(e):

@@ -663,12 +663,17 @@ def _pairs(num, den):
 
 def as_json_dict(x: AlgebraicNumber) -> dict:
     """u sqrt(D) writes zeros as `base`, u as `ext` and D as `radicand`."""
+    return _json_dict(x, as_json_dict)
+
+
+def _json_dict(x, radicand_dict):
+    """`as_json_dict(x)`, with `radicand_dict` serializing x's radicand."""
     pure = x.radicand is not None
     return {
         "L": x.ctx.L,
         "base": _pairs((0,) * x.ctx.degree, 1) if pure else _pairs(x.num, x.den),
         "ext": _pairs(x.num, x.den) if pure else None,
-        "radicand": as_json_dict(x.radicand) if pure else None,
+        "radicand": radicand_dict(x.radicand) if pure else None,
         "approx": x.approx(),
     }
 

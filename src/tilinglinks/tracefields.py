@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .coxeter import (CoxeterPresentation, _walk_product, diagram_adjacency,
-                      enumerate_cyclic_products, exact_det)
+                      enumerate_cyclic_products)
 from .errors import DomainError, VerificationError
 from .fields import AlgebraicNumber, as_json_dict, is_rational
 
@@ -98,22 +98,20 @@ def build_worksheet(p: CoxeterPresentation, strategy: str = "bfs",
 
     # c_r for the basis F1..F4 only, which is all det G' reads: c_1 = a_11,
     # and no other basis path ends at face 6, so every c_r lies in K0
-    g = p._exact_gram
+    g = p._certified[0]
     coeffs = (g[0][0],) + tuple(_walk_product(p, path) for path in paths[1:4])
 
     # G' = C B C, with C = diag(c_r) and B the Gram block of F1..F4, so
-    # det G' = det B * prod(c_r^2), and G' has diagonal 2c_r^2.  With
-    # a = 2cos(pi/m) and b = 2cos(pi/n), B is [[2, -a, -b, 0],
-    # [-a, 2, 0, -2], [-b, 0, 2, 0], [0, -2, 0, 2]] in both families; adding
-    # row 4 to row 2 leaves (-a, 0, 0, 0) there, and the expansion along it
-    # gives det B = -4a^2 = -16cos^2(pi/m) != 0.  Each c_r is a product of
-    # nonzero entries, so only a hand-built Gram can make det G' vanish
+    # det G' = det B * prod(c_r^2), and G' has diagonal 2c_r^2.  The
+    # certified pattern makes B [[2, -a, -b, 0], [-a, 2, 0, -2],
+    # [-b, 0, 2, 0], [0, -2, 0, 2]], a = 2cos(pi/m), b = 2cos(pi/n), in both
+    # families; adding row 4 to row 2 leaves (-a, 0, 0, 0) there, and the
+    # expansion along it gives det B = -4a^2, which the certificate proved
+    # nonzero, as are the c_r, products of nonzero entries
     gp = tuple(tuple(coeffs[i] * g[i][j] * coeffs[j] for j in range(4))
                for i in range(4))
-    det = (exact_det([row[:4] for row in g[:4]]) * gp[0][0] * gp[1][1]
-           * gp[2][2] * gp[3][3] / 16)
-    if det.is_zero:
-        raise VerificationError("worksheet matrix is singular")
+    a = -g[0][1]
+    det = -4 * a * a * gp[0][0] * gp[1][1] * gp[2][2] * gp[3][3] / 16
     return TraceFieldWorksheet(
         p, tuple(tuple(x + 1 for x in path) for path in paths),
         coeffs, (1, 2, 3, 4), gp, det)

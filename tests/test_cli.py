@@ -449,33 +449,42 @@ def test_report_certifies_each_presentation_once(monkeypatch):
 
 
 def test_rank_signature_gate_runs_once_per_presentation(monkeypatch):
+    # one certification and one list of cyclic products per presentation
     from tilinglinks import arithmeticity, classify
-    real = coxeter._certify_inertia
     calls = collections.Counter()
 
-    def counting(p):
-        calls[(p.m, p.n, p.family)] += 1
-        return real(p)
+    def counting(name):
+        real = getattr(coxeter, name)
 
-    monkeypatch.setattr(coxeter, "_certify_inertia", counting)
+        def count(p):
+            calls[(name, p.m, p.n, p.family)] += 1
+            return real(p)
+        monkeypatch.setattr(coxeter, name, count)
+
+    counting("_certify")
+    counting("_cyclic_products")
     coxeter.build_hyperbolic_presentation.cache_clear()
     arithmeticity.hyperbolic_verdict.cache_clear()
     classify.arithmetic_status.cache_clear()
     code, _ = run_cli("report", "--bound", "12", "--with-geometry",
                       "--samples", "100", "--format", "json")
     assert code == 0
-    assert (6, 4, "hyperbolic") in calls
+    assert ("_cyclic_products", 6, 4, "hyperbolic") in calls
     assert max(calls.values()) == 1, calls
-    # the gate's other readers reuse the certified result
+    # the other readers reuse the certificate and the list
+    for argv in (("tracefield", "6", "4"), ("arithmetic", "6", "4"),
+                 ("gram", "6", "4")):
+        assert run_cli(*argv)[0] == 0
     p = coxeter.build_hyperbolic_presentation(6, 4)
     lorentz.realize(p)
     coxeter.validate_presentation(p)
-    assert run_cli("gram", "6", "4")[0] == 0
-    assert calls[(6, 4, "hyperbolic")] == 1
+    assert calls[("_certify", 6, 4, "hyperbolic")] == 1
+    assert calls[("_cyclic_products", 6, 4, "hyperbolic")] == 1
 
 
 @pytest.mark.parametrize("argv", [("gram", "22", "49"),
-                                  ("arithmetic", "22", "49", "--format", "json")])
+                                  ("arithmetic", "22", "49", "--format", "json"),
+                                  ("tracefield", "22", "49", "--format", "json")])
 def test_certify_commands_never_run_the_charpoly(monkeypatch, argv):
     def refuse(rows):
         raise AssertionError("the charpoly ran")
@@ -491,24 +500,29 @@ def test_certify_commands_never_run_the_charpoly(monkeypatch, argv):
     ("D3 reads 0", "leading minor D3 of the F1..F4 block is zero"),
 ])
 def test_tampered_gram_exits_3(monkeypatch, capsys, tamper, msg):
-    # the K0 Gram is edited past _exact_gram's own closed-form check
+    # a fresh copy whose Gram the certification scales to the tampered K0 Gram
+    from test_coxeter import _with_k0_gram
     from tilinglinks.fields import AlgebraicNumber
-    p = coxeter.build_hyperbolic_presentation(7, 4)._replace()
-    rows = [list(r) for r in p._exact_gram]
-    a, b = -rows[0][1], -rows[0][2]
-    if tamper == "a at (4,6)":
-        rows[3][5] = rows[5][3] = -b
-    elif tamper == "entry (1,4)":
-        rows[0][3] = rows[3][0] = AlgebraicNumber.rational(p.ctx, -1)
-    else:
+    p = coxeter.build_hyperbolic_presentation(7, 4)
+    a, b = -p.gram[0][1], -p.gram[0][2]
+
+    def edit(rows, ctx):
+        if tamper == "a at (4,6)":
+            rows[3][5] = rows[5][3] = -b
+        elif tamper == "entry (1,4)":
+            rows[0][3] = rows[3][0] = AlgebraicNumber.rational(ctx, -1)
+
+    p = _with_k0_gram(p, edit)
+    if tamper == "D3 reads 0":
         real = AlgebraicNumber.sign
         d3 = 8 - 2 * (a * a + b * b)
         monkeypatch.setattr(AlgebraicNumber, "sign",
                             lambda x: 0 if x == d3 else real(x))
-    p.__dict__["_exact_gram"] = tuple(tuple(r) for r in rows)
     monkeypatch.setattr(coxeter, "build_presentation", lambda m, n: p)
-    # the gate runs before either command writes to stdout
-    for argv in (("gram", "7", "4"), ("arithmetic", "7", "4", "--format", "json")):
+    monkeypatch.setattr(coxeter, "build_hyperbolic_presentation", lambda m, n: p)
+    # the gate runs before any of the commands writes to stdout
+    for argv in (("gram", "7", "4"), ("arithmetic", "7", "4", "--format", "json"),
+                 ("tracefield", "7", "4", "--format", "json")):
         assert run_cli(*argv) == (3, "")
         assert capsys.readouterr().err == f"error: verification: {msg}\n"
 

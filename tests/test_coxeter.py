@@ -247,8 +247,10 @@ def test_jacobi_cross_check_matches_numpy_eigvalsh():
     lambda a: [1.0, 1.0, 1.0, -1.0, 1e-3, 0.0][:len(a)],
 ])
 def test_rank_signature_rejects_disagreeing_eigenvalues(monkeypatch, fake):
+    # fresh copies: the certification, cross-check included, runs once per
+    # presentation
     monkeypatch.setattr(coxeter, "_jacobi_eigenvalues", fake)
-    for p in (build_hyperbolic_presentation(6, 4),
+    for p in (build_hyperbolic_presentation(6, 4)._replace(),
               build_spherical_presentation(5, 3)):
         with pytest.raises(VerificationError, match="numeric eigenvalues"):
             rank_and_signature(p)
@@ -258,7 +260,7 @@ def test_rank_signature_jacobi_no_convergence(monkeypatch):
     # one sweep leaves the (6,4) Gram matrix far from diagonal
     monkeypatch.setattr(coxeter, "_JACOBI_SWEEPS", 1)
     with pytest.raises(VerificationError, match="no convergence"):
-        rank_and_signature(build_hyperbolic_presentation(6, 4))
+        rank_and_signature(build_hyperbolic_presentation(6, 4)._replace())
 
 
 def test_k0_certification_rejects_wrong_scaled_entry(monkeypatch):
@@ -279,11 +281,12 @@ def test_k0_certification_rejects_wrong_scaled_entry(monkeypatch):
     with pytest.raises(VerificationError):
         realize(swapped)
 
+    # a cos(pi/m) off by 1e-6 in the entries (1,2), (2,1): the pattern
+    # check reads a from them and meets the true -a at (4,6)
+    wrong = p.gram[0][1] - 2 * Fraction(1, 10**6)
+    with pytest.raises(VerificationError, match="entry \\(4,6\\) is off"):
+        rank_and_signature(_with_k0_gram(p, _set(0, 1, lambda g, ctx: wrong)))
     _patch_wrong_cos_m(monkeypatch)
-    # a fresh copy: the cached presentation keeps the K0 Gram certified by
-    # earlier calls
-    with pytest.raises(VerificationError):
-        rank_and_signature(p._replace())
     with pytest.raises(VerificationError):
         solve_ultraparallel_by_minor(7, 4)
 
@@ -299,11 +302,14 @@ def _patch_wrong_cos_m(monkeypatch):
 def test_k0_certification_runs_once_per_presentation(monkeypatch):
     p = build_hyperbolic_presentation(7, 4)._replace()
     check_arithmetic(p)
-    # p keeps the K0 Gram certified against the true closed form; a copy
-    # without it certifies again and meets the wrong one
-    _patch_wrong_cos_m(monkeypatch)
+    # p keeps its certificate; a copy without it certifies again and meets
+    # a certification that refuses
+    def refuse(q):
+        raise VerificationError("certified again")
+    monkeypatch.setattr(coxeter, "_certify", refuse)
     assert rank_and_signature(p) == (4, 3, 1)
-    with pytest.raises(VerificationError):
+    assert len(enumerate_cyclic_products(p)) == len(p._cycles)
+    with pytest.raises(VerificationError, match="certified again"):
         rank_and_signature(p._replace())
 
 
@@ -322,24 +328,28 @@ _SPHERICAL_BOTH_WAYS = sorted(SPHERICAL_TYPES | {(n, m) for m, n in SPHERICAL_TY
 def test_diagram_certificate_matches_charpoly_on_the_k0_rows():
     # Berkowitz and Descartes on the same exact rows are the reference
     for (m, n) in HYPERBOLIC_PAIRS_12 + _LARGE_TYPES:
-        p = build_hyperbolic_presentation(m, n)._replace()
-        assert coxeter._certify_inertia(p) == rank_and_signature(
-            [list(r) for r in p._exact_gram]) == (4, 3, 1), (m, n)
+        rows, inertia = coxeter._certify(build_hyperbolic_presentation(m, n))
+        assert inertia == rank_and_signature(rows) == (4, 3, 1), (m, n)
     for (m, n) in _SPHERICAL_BOTH_WAYS:
         p = build_spherical_presentation(m, n)
-        assert coxeter._certify_inertia(p) == rank_and_signature(
-            [list(r) for r in p.gram]) == (4, 3, 1), (m, n)
+        rows, inertia = coxeter._certify(p)
+        assert rows == p.gram
+        assert inertia == rank_and_signature(p.gram) == (4, 3, 1), (m, n)
 
 
 def _with_k0_gram(p, edit):
-    """A fresh copy of p whose cached K0 Gram is p's with `edit` applied to
-    its rows: the certificate sees the edit, `_exact_gram`'s own closed-form
-    check does not run."""
-    rows = [list(r) for r in p._exact_gram]
+    """A fresh copy of p whose K0 Gram, as the certification scales it, is
+    p's with `edit` applied to its rows: face 6's entries are divided back
+    by sqrt(D), and (6,6) by D."""
+    rows = [list(r) for r in p._certified[0]]
     edit(rows, p.ctx)
-    q = p._replace()
-    q.__dict__["_exact_gram"] = tuple(tuple(r) for r in rows)
-    return q
+    if p.family == "hyperbolic":
+        _, _, _, _, Dinv, root, _, _ = coxeter._hyperbolic_cosh_data(p.m, p.n)
+        for i in range(5):
+            rows[i][5] = rows[i][5] * root * Dinv
+            rows[5][i] = rows[5][i] * root * Dinv
+        rows[5][5] = rows[5][5] * Dinv
+    return p._replace(gram=tuple(tuple(r) for r in rows))
 
 
 def _set(i, j, value):
@@ -370,7 +380,7 @@ def test_diagram_certificate_rejects_a_tampered_gram(mn, edit, msg):
 
 def test_diagram_certificate_rejects_a_zero_minor(monkeypatch):
     p = build_hyperbolic_presentation(9, 5)._replace()
-    a, b = -p._exact_gram[0][1], -p._exact_gram[0][2]
+    a, b = -p.gram[0][1], -p.gram[0][2]
     d3 = 8 - 2 * (a * a + b * b)
     real = AlgebraicNumber.sign
     monkeypatch.setattr(AlgebraicNumber, "sign",
@@ -398,7 +408,8 @@ def test_float_gram_evaluates_each_entry_once(monkeypatch):
     `approx` runs once per distinct Gram entry object (8 of them at
     (49,47)), where `gram_float`, the Jacobi cross-check and the printed
     rows each evaluated all 36 entries.  Text `gram` also prints the two
-    cosh distances, each with the value of their one radicand D."""
+    cosh distances, each with the value of their one radicand D, which it
+    evaluates once."""
     import contextlib
     import io
     from collections import Counter
@@ -426,7 +437,7 @@ def test_float_gram_evaluates_each_entry_once(monkeypatch):
     radicand = cosh[0].radicand
     assert cosh[1].radicand is radicand
     assert calls == Counter({**dict.fromkeys(entries, 1),
-                             id(cosh[0]): 1, id(cosh[1]): 1, id(radicand): 2})
+                             id(cosh[0]): 1, id(cosh[1]): 1, id(radicand): 1})
 
 
 # -- the exact kernel against the references it replaced ----------------------
@@ -504,7 +515,7 @@ def kernel_grams():
     out = []
     for (m, n) in HYPERBOLIC_PAIRS_12:
         p = build_hyperbolic_presentation(m, n)
-        out.append((f"({m},{n}) K0", p._exact_gram))
+        out.append((f"({m},{n}) K0", p._certified[0]))
         out.append((f"({m},{n}) raw", p.gram))
     for (m, n) in sorted(SPHERICAL_TYPES):
         out.append((f"({m},{n}) spherical",
