@@ -4,8 +4,8 @@ Polynomials are lists/tuples of ints, low degree first.  Everything here is
 exact integer arithmetic; callers layer rational normalization on top.  The
 cyclotomic polynomial is the Moebius product of the x^d - 1, built in linear
 passes; one trial-division `prime_factors` serves it and Euler's phi.
-One Clenshaw routine writes Dickson series on the power basis: the folded
-modulus and every 2cos(pi/k) = D_(L/k)(2cos(pi/L)).
+One routine writes Dickson series on the power basis, term by term over the
+nonzero terms: the folded modulus and every 2cos(pi/k) = D_(L/k)(2cos(pi/L)).
 """
 
 
@@ -75,18 +75,25 @@ def cyclotomic(n):
 
 def dickson_to_power(s):
     """Power-basis coefficients of s_0 + sum_(t>=1) s_t D_t(x), D_t the
-    Dickson polynomial D_t(z + 1/z) = z^t + z^-t, by Clenshaw's recurrence
-    (*Math. Comp.* 9, 1955): y_t = s_t + x y_(t+1) - y_(t+2), then
-    s_0 + x y_1 - 2 y_2.  Additions only."""
-    y1, y2 = [], []  # y_(t+1), y_(t+2)
-    for c in reversed(s[1:]):
-        y = [c] + y1
-        for i, b in enumerate(y2):
-            y[i] -= b
-        y1, y2 = y, y1
-    out = [s[0]] + y1
-    for i, b in enumerate(y2):
-        out[i] -= 2 * b
+    Dickson polynomial D_t(z + 1/z) = z^t + z^-t.
+
+    Term by term over the nonzero s_t only, from the closed form
+    D_t(x) = sum_i (-1)^i t/(t-i) C(t-i, i) x^(t-2i) (Lidl, Mullen and
+    Turnwald, *Dickson Polynomials*, 1993, ch. 2).  Each coefficient is
+    the last one times -(t-2i+2)(t-2i+1) / (i (t-i)), and that division is
+    exact; a series with few nonzero terms, like the folded modulus of an
+    even L, costs sum t/2 over those terms."""
+    out = [0] * len(s)
+    out[0] = s[0]
+    for t in range(1, len(s)):
+        c = s[t]
+        if c:
+            out[t] += c
+            k = t
+            for i in range(1, t // 2 + 1):
+                c = -c * (k * (k - 1)) // (i * (t - i))
+                k -= 2
+                out[k] += c
     return out
 
 

@@ -54,9 +54,10 @@ def _dump(obj) -> str:
 
     With `indent` set, the standard library drops to its pure-Python
     generator encoder.  Here each container is joined from its children's
-    finished text, and a dict object met again at the same indentation (a
-    Gram entry shared by (i,j) and (j,i)) reuses its text: the memo is keyed
-    by id and lives for this call only, while `obj` keeps every id alive.
+    finished text, a coefficient pair [int, int] in one format string, and
+    a dict object met again at the same indentation (a Gram entry shared by
+    (i,j) and (j,i)) reuses its text: the memo is keyed by id and lives for
+    this call only, while `obj` keeps every id alive.
     Anything `json` rejects raises TypeError, and so does a key that is not
     a str (the program writes no other).
     """
@@ -66,7 +67,12 @@ def _dump(obj) -> str:
         if not o:
             return "[]"
         inner = outer + "  "
-        items = [enc(v, inner) for v in o]
+        # a coefficient pair [int, int] in one format, anything else by enc
+        pair = "[\n" + inner + "  %d,\n" + inner + "  %d\n" + inner + "]"
+        items = [pair % (v[0], v[1])
+                 if type(v) is list and len(v) == 2
+                 and type(v[0]) is int and type(v[1]) is int
+                 else enc(v, inner) for v in o]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + outer + "]"
 
     def mapping(o, outer):

@@ -8,11 +8,12 @@ Floating point enters only through `approx`/`sign`, which bound the value
 under the distinguished real embedding by a certified fixed-point
 enclosure: one integer dot product of the coefficients with a cached table
 of the generator's powers scaled by 2^P, built in integers from 2cos(pi/L)
-rounded to fixed point.  Both double P until the enclosure decides them:
-`sign` once it excludes 0, `approx` once both of its ends also round to the
-same double, the correctly rounded value.  The same tables, built from
-2cos(k pi/L), give the conjugate embeddings that the square detection of
-`adjoin_sqrt` needs, so no numeric library is imported here.
+rounded to fixed point.  Both start P at the coefficients' size and double
+it until the enclosure decides them: `sign` once it excludes 0, `approx`
+once both of its ends also round to the same double, the correctly rounded
+value.  The same tables, built from 2cos(k pi/L), give the conjugate
+embeddings that the square detection of `adjoin_sqrt` needs, so no numeric
+library is imported here.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -30,7 +31,7 @@ from ._polys import (cyclotomic, dickson_to_power, fold_palindromic, mul,
                      prime_factors, trim)
 from .errors import DomainError, VerificationError
 
-_FIXED_PREC = 128  # first P of the fixed-point enclosure
+_FIXED_PREC = 128  # lowest P of the fixed-point enclosure
 _MAX_PREC = 1 << 14  # 16x the largest P certified values were seen to need
 _SQUARE_DETECT_MAX_DEGREE = 8
 
@@ -180,10 +181,22 @@ def _enclosure(x, P, k=1):
 
 
 def _enclosures(x, k=1):
-    """`_enclosure(x, P, k)` for P = 128, 256, ... up to the cap, skipping a
-    P at which the radicand's enclosure still contains 0; VerificationError
-    when the caller asks past the cap."""
+    """`_enclosure(x, P, k)` for P = 128, 256, ... up to the cap, from the
+    first P at or above bits(largest numerator of x and its radicand) -
+    bits(x.den) + 64, skipping a P at which the radicand's enclosure still
+    contains 0; VerificationError when the caller asks past the cap.
+
+    The error of an enclosure, sum |c_i| + 1 units of 2^-P, grows with the
+    coefficients, so a lower P seldom decides a value with large ones; and
+    each P certifies the same answer (the exact sign, the one correctly
+    rounded double), so the start sets only the work done."""
+    rad = x.radicand
+    bits = max(map(int.bit_length,
+                   x.num + (() if rad is None else rad.num)))
+    need = bits - x.den.bit_length() + 64
     P = _FIXED_PREC
+    while P < need and P < _MAX_PREC:
+        P *= 2
     while P <= _MAX_PREC:
         enc = _enclosure(x, P, k)
         if enc is not None:
@@ -458,16 +471,26 @@ class AlgebraicNumber:
 
 
 def _base_inverse(num, den, ctx):
-    """Inverse of a base-field element via extended Euclid in Q[x]/(modulus).
+    """Inverse of num/den in Q[x]/(Psi), Psi the modulus.
 
-    The remainders are kept as primitive integer polynomials (pseudo-division,
-    then the content divided out); the cofactor t is an integer vector with
-    one denominator, so that t * num == r (mod modulus) throughout."""
+    With b = num over its content, one pseudo-division s Psi = Q b + R
+    leaves the small pair (b, R): an extended Euclid on it, with primitive
+    integer remainders (pseudo-division, then the content divided out),
+    tracks only tau, with tau R == c (mod b) for its last remainder c, a
+    nonzero constant, as an integer vector over one denominator.  One exact
+    division gives sigma = (c - tau R) / b, so sigma b + tau R = c, and as
+    R == -Q b (mod Psi), (sigma - tau Q) / c, of degree below deg Psi, is
+    the inverse of b.  tau has degree below deg b, so a sparse b of low
+    degree (the radicand D) never carries a cofactor of Psi's degree."""
     if not any(num):
         raise ArithmeticError("division by zero")
-    if ctx.degree == 1:
-        return _normalize((den,), num[0])
-    r_prev, r_cur = list(ctx.modulus), trim(num)
+    b = trim(num)
+    content = gcd(*b)
+    b = [c // content for c in b]
+    if len(b) == 1:  # a rational: b is +-1
+        return _normalize((den * b[0],) + (0,) * (ctx.degree - 1), content)
+    _, Q, R = _pseudo_divmod(ctx.modulus, b)
+    r_prev, r_cur = b, R
     g = gcd(*r_cur)
     r_cur = [c // g for c in r_cur]
     t_prev, t_cur = ((), 1), ((1,), g)
@@ -489,17 +512,30 @@ def _base_inverse(num, den, ctx):
             t_next[i] -= c * fc
         r_prev, r_cur = r_cur, [c // g for c in rem]
         t_prev, t_cur = t_cur, _normalize(tuple(trim(t_next)), m * g)
+    # tau = tv / td: tv R == c (mod b) for c = td r_cur[0], and
+    # s (c - tv R) == q b exactly, so sigma = q / s
     tv, td = t_cur
-    vec = tuple(c * den for c in tv) + (0,) * (ctx.degree - len(tv))
-    return _normalize(vec, td * r_cur[0])
+    c = td * r_cur[0]
+    a = [-x for x in mul(tv, R)]
+    a[0] += c
+    s, q, _ = _pseudo_divmod(trim(a), b)
+    # num/den = content b / den, inverted: den (q - s tv Q) / (s c content)
+    vec = [-s * x for x in mul(tv, Q)] + [0] * ctx.degree
+    for i, x in enumerate(q):
+        vec[i] += x
+    return _normalize(tuple(x * den for x in vec[:ctx.degree]),
+                      s * c * content)
 
 
 def _pseudo_divmod(a, b):
     """(s, q, r) with s * a == q * b + r over Z and deg r < deg b, where
-    s = lead(b)^(deg a - deg b + 1) makes every division step exact."""
+    s = lead(b)^(deg a - deg b + 1) makes every division step exact; (1, [],
+    a) when deg a < deg b."""
     db = len(b) - 1
-    lead = b[-1]
     steps = len(a) - db
+    if steps <= 0:
+        return 1, [], trim(a)
+    lead = b[-1]
     scale = lead ** steps
     a = [c * scale for c in a]
     q = [0] * steps

@@ -382,6 +382,22 @@ def test_dump_matches_json(tree, shared):
         assert cli._dump(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
+class _Int(int):
+    def __repr__(self):  # json ignores it, and so must _dump
+        return "not an int"
+
+
+def test_dump_pairs_match_json():
+    # lists of two ints take one format string; anything else near them
+    # (bools, floats, int subclasses, tuples, other lengths) takes the
+    # general path
+    obj = {"p": [[1, 2], [-3, 10**200], [True, 1], [1, False], [1.0, 2],
+                 [_Int(3), 4], (5, 6), [7], [8, 9, 10], [[1, 2], [3, 4]],
+                 [None, 1], ["1", 2], []],
+           "q": [[0, 1]], "r": [[1, 2], 3]}
+    assert cli._dump(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
 @pytest.mark.parametrize("bad", [set(), b"x", object(), [1, {2}],
                                  {"k": [b"x"]}, {(1, 2): 0}, {1: 0, "1": 0}])
 def test_dump_rejects_what_json_rejects(bad):

@@ -4,7 +4,7 @@ tests of the ring axioms."""
 import functools
 import sys
 from fractions import Fraction
-from math import cos, lcm, pi
+from math import cos, gcd, lcm, pi
 
 import pytest
 import sympy as sp
@@ -218,6 +218,47 @@ def test_dickson_to_power_dense_series_match_sympy(seed):
     assert dickson_to_power(s) == _sympy_dickson_series(s)
 
 
+# The Clenshaw recurrence that `dickson_to_power` ran before it summed the
+# series term by term, kept as its reference.
+def _clenshaw_dickson(s):
+    """s_0 + sum s_t D_t(x) on the power basis by Clenshaw's recurrence
+    (*Math. Comp.* 9, 1955): y_t = s_t + x y_(t+1) - y_(t+2), then
+    s_0 + x y_1 - 2 y_2."""
+    y1, y2 = [], []  # y_(t+1), y_(t+2)
+    for c in reversed(s[1:]):
+        y = [c] + y1
+        for i, b in enumerate(y2):
+            y[i] -= b
+        y1, y2 = y, y1
+    out = [s[0]] + y1
+    for i, b in enumerate(y2):
+        out[i] -= 2 * b
+    return out
+
+
+# the types of the benchmark's certify and export pools, and (49,47)
+_POOL_TYPES = [(14, 33), (14, 44), (22, 42), (24, 34), (11, 31), (20, 31),
+               (30, 31), (22, 43), (22, 49), (35, 38), (11, 36), (16, 25),
+               (32, 44), (38, 39), (46, 50), (43, 46), (44, 47), (47, 50),
+               (49, 47)]
+
+
+@pytest.mark.parametrize("Ls", [range(1, 301),
+                                sorted({lcm(m, n) for m, n in _POOL_TYPES}),
+                                [1155, 2310]])
+def test_dickson_fold_matches_clenshaw(Ls):
+    # the folded cyclotomic polynomial of 2L at every L <= 300, with the
+    # single term D_L, at the pool types' L (sparse series of even L), and
+    # at L = 1155, 2310, whose series are dense
+    for L in Ls:
+        c = list(cyclotomic(2 * L))
+        s = c[(len(c) - 1) // 2:]
+        assert dickson_to_power(s) == _clenshaw_dickson(s), L
+        if L <= 300:
+            s = [0] * L + [1]
+            assert dickson_to_power(s) == _clenshaw_dickson(s), L
+
+
 def test_golden_identity():
     ctx = make_context(5)
     g = embed_cos(ctx, 5)
@@ -326,6 +367,102 @@ def test_inverse_of_degree_920_discriminant():
     cm, cn = embed_cos(ctx, 47) / 2, embed_cos(ctx, 44) / 2
     D = cm * cm + cn * cn - 1
     assert D * D.inverse() == AlgebraicNumber.rational(ctx, 1)
+
+
+# The extended Euclid that `_base_inverse` ran on (modulus, element) before
+# it took the modulus out by one pseudo-division, kept as its reference.
+def _euclid_inverse(num, den, ctx):
+    """Inverse of num/den by extended Euclid on (modulus, num), primitive
+    integer remainders, the cofactor of num an integer vector over one
+    denominator."""
+    from tilinglinks._polys import mul, trim
+    from tilinglinks.fields import _normalize, _pseudo_divmod
+    if ctx.degree == 1:
+        return _normalize((den,), num[0])
+    r_prev, r_cur = list(ctx.modulus), trim(num)
+    g = gcd(*r_cur)
+    r_cur = [c // g for c in r_cur]
+    t_prev, t_cur = ((), 1), ((1,), g)
+    while len(r_cur) > 1:
+        scale, q, rem = _pseudo_divmod(r_prev, r_cur)
+        g = gcd(*rem)
+        (tp, dp), (tc, dc) = t_prev, t_cur
+        m = dp * dc // gcd(dp, dc)
+        fp, fc = scale * (m // dp), m // dc
+        qt = mul(q, tc)
+        t_next = [0] * max(len(tp), len(qt))
+        for i, c in enumerate(tp):
+            t_next[i] = c * fp
+        for i, c in enumerate(qt):
+            t_next[i] -= c * fc
+        r_prev, r_cur = r_cur, [c // g for c in rem]
+        t_prev, t_cur = t_cur, _normalize(tuple(trim(t_next)), m * g)
+    tv, td = t_cur
+    vec = tuple(c * den for c in tv) + (0,) * (ctx.degree - len(tv))
+    return _normalize(vec, td * r_cur[0])
+
+
+def _discriminant(m, n):
+    """D = cos^2(pi/m) + cos^2(pi/n) - 1 in Q(2cos(pi/lcm(m, n)))."""
+    ctx = make_context(lcm(m, n))
+    cm, cn = embed_cos(ctx, m) / 2, embed_cos(ctx, n) / 2
+    return cm * cm + cn * cn - 1
+
+
+@pytest.mark.parametrize("m,n", _POOL_TYPES[:-1])
+def test_inverse_of_discriminant_matches_euclid(m, n):
+    # D, sparse of degree about 2 max(L/m, L/n), and D^2
+    D = _discriminant(m, n)
+    for x in (D, D * D):
+        assert fields._base_inverse(x.num, x.den, x.ctx) == \
+            _euclid_inverse(x.num, x.den, x.ctx)
+
+
+def test_inverse_matches_euclid_on_rationals_and_pure_elements(monkeypatch):
+    ctx = make_context(91)
+    D = _discriminant(7, 13)
+    g = AlgebraicNumber.generator(ctx)
+    xs = [AlgebraicNumber.rational(make_context(L), q)
+          for L in (1, 2, 5, 91) for q in (1, -1, 7, Fraction(-3, 8))]
+    xs += [AlgebraicNumber.generator(make_context(1)), g, g - 2, 3 * g + 1]
+    # pure elements: the inverse of u sqrt(D) inverts u D
+    xs += [AlgebraicNumber._make(ctx, u.num, u.den, D)
+           for u in (AlgebraicNumber.rational(ctx, 1), g, D, g * g - 5)]
+    want = [x.inverse() for x in xs]
+    monkeypatch.setattr(fields, "_base_inverse", _euclid_inverse)
+    assert [x.inverse() for x in xs] == want
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_inverse_matches_euclid_on_random_elements(data):
+    L = data.draw(st.sampled_from([7, 15, 91]))
+    ctx = make_context(L)
+    size = data.draw(st.integers(1, ctx.degree))
+    num = data.draw(st.lists(st.integers(-50, 50), min_size=size,
+                             max_size=size))
+    num = tuple(num) + (0,) * (ctx.degree - size)
+    den = data.draw(st.integers(1, 30))
+    if any(num):
+        assert fields._base_inverse(num, den, ctx) == \
+            _euclid_inverse(num, den, ctx)
+
+
+@pytest.mark.parametrize("a,b,want", [
+    ([5], [1, 2, 3], (1, [], [5])),
+    ([], [1, 2, 3], (1, [], [])),
+    ([4, 0], [1, 2, 3], (1, [], [4])),
+    ([1, 2], [1, 2, 3], (1, [], [1, 2])),
+    ([1, 0, 0, 2], [1, 3], (27, [2, -6, 18], [25]))])
+def test_pseudo_divmod(a, b, want):
+    # s a == q b + r; a dividend of lower degree than b is its own
+    # remainder, with the integer scale 1
+    from tilinglinks._polys import mul
+    s, q, r = fields._pseudo_divmod(a, b)
+    assert (s, q, r) == want and type(s) is int
+    qb = mul(q, b) + [0] * len(a)
+    assert [s * c for c in a] == [
+        x + (r[i] if i < len(r) else 0) for i, x in enumerate(qb[:len(a)])]
 
 
 def test_add_zero_identity():
@@ -755,6 +892,48 @@ def test_fixed_point_approx_and_sign_match_ladder(m, n):
         ref = _ladder_approx(x)
         assert x.approx() == ref
         assert x.sign() == _ladder_sign(x)
+
+
+def _enclosures_from_128(x, k=1):
+    """`fields._enclosures` as it was before it picked its first P from the
+    coefficient sizes: every P = 128, 256, ... up to the cap."""
+    P = 128
+    while P <= fields._MAX_PREC:
+        enc = fields._enclosure(x, P, k)
+        if enc is not None:
+            yield enc
+        P *= 2
+    raise VerificationError("cannot certify the embedding; value too close to zero")
+
+
+@pytest.mark.parametrize("m,n", [(47, 44), (22, 43)])
+def test_enclosure_ladder_start_keeps_every_value(m, n, monkeypatch):
+    """Starting the ladder at the coefficient sizes gives the Gram entries
+    and cyclic products the same doubles and signs as starting at P = 128,
+    and the dense entries (D^-1 in the cosh distances, 635-639-bit
+    coefficients at (47,44)) each take one enclosure, at the start."""
+    from collections import Counter
+    from tilinglinks.coxeter import build_presentation, enumerate_cyclic_products
+    p = build_presentation(m, n)
+    xs = {id(x): x for row in p.gram for x in row if not x.is_zero}
+    xs.update((id(v), v) for _, v in enumerate_cyclic_products(p))
+    xs = list(xs.values())  # each distinct object once
+    dense = [x for x in xs if 2 * sum(1 for c in x.num if c) >= x.ctx.degree]
+    assert len(dense) >= 4
+    calls, enclosure = Counter(), fields._enclosure
+
+    def counted(x, P, k=1):
+        calls[id(x)] += 1
+        return enclosure(x, P, k)
+
+    monkeypatch.setattr(fields, "_enclosure", counted)
+    approx = [x.approx() for x in xs]
+    assert [calls[id(x)] for x in dense] == [1] * len(dense)
+    want = [(f, x.sign()) for f, x in zip(approx, xs)]
+    monkeypatch.setattr(fields, "_enclosures", _enclosures_from_128)
+    calls.clear()
+    assert [(x.approx(), x.sign()) for x in xs] == want
+    assert min(calls[id(x)] for x in dense) > 2
 
 
 def test_ambiguous_rounding_decided_by_the_enclosure():
