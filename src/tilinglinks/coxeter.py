@@ -115,31 +115,50 @@ class CoxeterPresentation(_PresentationFields):
 def _presentation(m, n, family, ctx, extra=()):
     """The presentation on the diagram both families share -- F1 meets F2
     and F3 at angles pi/m and pi/n, F2-F4 and F3-F5 are ideal -- plus the
-    `extra` edges, with faces F1 up to the highest one an edge names."""
-    edges = (Edge(1, 2, "angle", order=m), Edge(1, 3, "angle", order=n),
-             Edge(2, 4, "ideal"), Edge(3, 5, "ideal")) + extra
+    `extra` (edge, Gram entry) pairs, with faces F1 up to the highest one
+    an edge names."""
+    shared = (Edge(1, 2, "angle", order=m), Edge(1, 3, "angle", order=n),
+              Edge(2, 4, "ideal"), Edge(3, 5, "ideal"))
+    pairs = tuple((e, -embed_cos(ctx, e.order) if e.kind == "angle"
+                   else AlgebraicNumber.rational(ctx, -2))
+                  for e in shared) + extra
+    edges = tuple(e for e, _ in pairs)
     size = max(e.j for e in edges)
     two = AlgebraicNumber.rational(ctx, 2)
     zero = AlgebraicNumber.rational(ctx, 0)
     g = [[two if i == j else zero for j in range(size)] for i in range(size)]
-    for e in edges:
-        if e.kind == "angle":
-            val = -embed_cos(ctx, e.order)
-        elif e.kind == "ideal":
-            val = AlgebraicNumber.rational(ctx, -2)
-        else:
-            val = -2 * e.cosh_dist
+    for e, val in pairs:
         g[e.i - 1][e.j - 1] = g[e.j - 1][e.i - 1] = val
     faces = tuple(f"F{i}" for i in range(1, size + 1))
     return CoxeterPresentation(m, n, family, faces, edges,
                                tuple(tuple(row) for row in g), ctx)
 
 
+class _CoshData(NamedTuple):
+    """The exact values behind the face-6 entries of the hyperbolic type
+    (m, n), with D = cos^2(pi/m) + cos^2(pi/n) - 1 > 0."""
+    ctx: FieldContext
+    cm: AlgebraicNumber       # cos(pi/m)
+    cn: AlgebraicNumber       # cos(pi/n)
+    D: AlgebraicNumber
+    Dinv: AlgebraicNumber     # D^-1
+    root: AlgebraicNumber     # sqrt(D) > 0
+    hm: AlgebraicNumber       # cos(pi/m) D^-1
+    hn: AlgebraicNumber       # cos(pi/n) D^-1
+    cosh_mn: AlgebraicNumber  # cosh l_46 = cos(pi/m) / sqrt(D) = hm sqrt(D)
+    cosh_nm: AlgebraicNumber  # cosh l_56 = cos(pi/n) / sqrt(D) = hn sqrt(D)
+    g46: AlgebraicNumber      # the Gram entry (4,6), -2 cosh l_46
+    g56: AlgebraicNumber      # the Gram entry (5,6), -2 cosh l_56
+
+
 @lru_cache(maxsize=None)
-def _hyperbolic_cosh_data(m, n):
-    """(ctx, cos(pi/m), cos(pi/n), D, D^-1, sqrt(D), cosh l_46, cosh l_56):
-    D = cos^2(pi/m) + cos^2(pi/n) - 1 > 0, its positive root, and the pair
-    (cosh l_46, cosh l_56) = (cos(pi/m), cos(pi/n)) / sqrt(D)."""
+def _hyperbolic_cosh_data(m, n) -> _CoshData:
+    """The `_CoshData` of (m, n).  The build places g46 = -2 hm sqrt(D) and
+    g56 = -2 hn sqrt(D) in its Gram; hm and hn, the K0 quotients formed on
+    the way to the cosh values, are kept, so that neither D^-1 nor D is
+    multiplied back in: g46 sqrt(D) = -2 hm D is -2cos(pi/m) by hm D =
+    cos(pi/m), which `_certify` takes with no product, and the D^-1 of a
+    walk through face 6 from face 4 comes with -2 hm (`_walk_product`)."""
     ctx = make_context(lcm(m, n))
     cm = embed_cos(ctx, m) / 2
     cn = embed_cos(ctx, n) / 2
@@ -148,7 +167,10 @@ def _hyperbolic_cosh_data(m, n):
         raise GeometryError(f"({m},{n}) is not hyperbolic: discriminant <= 0")
     Dinv = D.inverse()
     root = adjoin_sqrt(ctx, D)
-    return ctx, cm, cn, D, Dinv, root, cm * root * Dinv, cn * root * Dinv
+    hm, hn = cm * Dinv, cn * Dinv
+    cosh_mn, cosh_nm = hm * root, hn * root
+    return _CoshData(ctx, cm, cn, D, Dinv, root, hm, hn, cosh_mn, cosh_nm,
+                     -2 * cosh_mn, -2 * cosh_nm)
 
 
 @lru_cache(maxsize=None)
@@ -156,10 +178,10 @@ def build_hyperbolic_presentation(m: int, n: int) -> CoxeterPresentation:
     """Six-face presentation for the hyperbolic pattern [m,n,m,n]."""
     if geometry_of(m, n) != "Hyperbolic":
         raise GeometryError(f"({m},{n}) is not a hyperbolic tiling type")
-    ctx, *_, Cmn, Cnm = _hyperbolic_cosh_data(m, n)
-    return _presentation(m, n, "hyperbolic", ctx, (
-        Edge(4, 6, "ultraparallel", cosh_dist=Cmn),
-        Edge(5, 6, "ultraparallel", cosh_dist=Cnm)))
+    c = _hyperbolic_cosh_data(m, n)
+    return _presentation(m, n, "hyperbolic", c.ctx, (
+        (Edge(4, 6, "ultraparallel", cosh_dist=c.cosh_mn), c.g46),
+        (Edge(5, 6, "ultraparallel", cosh_dist=c.cosh_nm), c.g56)))
 
 
 def build_spherical_presentation(m: int, n: int) -> CoxeterPresentation:
@@ -244,7 +266,7 @@ def solve_ultraparallel_by_minor(m: int, n: int):
     values are returned.
     """
     gram = build_hyperbolic_presentation(m, n).gram
-    ctx, cm, cn, D, _, _, Cmn, Cnm = _hyperbolic_cosh_data(m, n)
+    c = _hyperbolic_cosh_data(m, n)
 
     def minor(keep):
         return [[gram[r][c] for c in keep] for r in keep]
@@ -252,22 +274,22 @@ def solve_ultraparallel_by_minor(m: int, n: int):
     A = -4 * exact_det(minor((0, 1, 2)))
     if A.is_zero:
         raise VerificationError("minor determinant does not depend on the unknown")
-    for face, cosval in ((3, cm), (4, cn)):
+    for face, cosval in ((3, c.cm), (4, c.cn)):
         C = 2 * exact_det(minor((0, 1, 2, face)))
         # the full minor with the surviving ultraparallel entry at x = 1
         rows = minor((0, 1, 2, face, 5))
-        rows[3][4] = rows[4][3] = AlgebraicNumber.rational(ctx, -2)
+        rows[3][4] = rows[4][3] = AlgebraicNumber.rational(c.ctx, -2)
         if exact_det(rows) != C + A:
             raise VerificationError(
                 "minor determinant at x = 1 disagrees with its bordered expansion")
         # x^2 = -C/A against (c/sqrt(D))^2 = c^2/D, both sides times A*D
-        if -C * D != A * cosval * cosval:
+        if -C * c.D != A * cosval * cosval:
             raise VerificationError(
                 "closed-form cosh value does not satisfy the singular-minor equation")
         # sqrt(D) > 0, so c/sqrt(D) has the sign of c
         if cosval.sign() <= 0:
             raise VerificationError("cosh candidate not positive")
-    return Cmn, Cnm
+    return c.cosh_mn, c.cosh_nm
 
 
 # -- rank and signature ------------------------------------------------------
@@ -362,7 +384,12 @@ def _certify(p: CoxeterPresentation):
 
     g is `gram` of a spherical presentation and S*G*S, S = diag(1,...,1,
     sqrt D), of a hyperbolic one.  S*G*S is congruent to G, so it has the
-    same rank and inertia (Sylvester's law).  With a = -g12 = 2cos(pi/m),
+    same rank and inertia (Sylvester's law).  Its face-6 entries take no
+    product where p's entry equals the build's own element, found by a plain
+    equality: the build's (4,6) is -2h sqrt(D) with h = cos(pi/m) D^-1, so
+    times sqrt(D) it is -2h D = -2cos(pi/m) by h D = cos(pi/m) (likewise
+    (5,6) with n, and the build's zeros stay zero).  An entry that is not
+    the build's is multiplied by sqrt(D).  With a = -g12 = 2cos(pi/m),
     b = -g13 = 2cos(pi/n) and B = g[F1..F4]:
       - every entry but g66 follows the diagram's pattern in a and b; so
         the scaled (4,6) and (5,6) are -a and -b, and g lies in K0;
@@ -376,17 +403,23 @@ def _certify(p: CoxeterPresentation):
       - `_check_numeric` agrees on the original Gram's `_float_gram`.
     """
     rows = [list(r) for r in p.gram]
+    two, zero = (AlgebraicNumber.rational(p.ctx, v) for v in (2, 0))
     if p.family == "hyperbolic":
-        _, _, _, D, _, root, _, _ = _hyperbolic_cosh_data(p.m, p.n)
+        c = _hyperbolic_cosh_data(p.m, p.n)
+        built = (zero, zero, zero, c.g46, c.g56)
+        k0 = (zero, zero, zero, -2 * c.cm, -2 * c.cn)  # built[i] sqrt(D)
+
+        def scaled(i, e):
+            return k0[i] if e == built[i] else e * c.root
+
         for i in range(5):
-            rows[i][5] = p.gram[i][5] * root
+            rows[i][5] = scaled(i, p.gram[i][5])
             rows[5][i] = (rows[i][5] if p.gram[5][i] is p.gram[i][5]
-                          else p.gram[5][i] * root)
-        rows[5][5] = p.gram[5][5] * D
+                          else scaled(i, p.gram[5][i]))
+        rows[5][5] = p.gram[5][5] * c.D
     g = tuple(tuple(r) for r in rows)
     s = len(g)
     a, b = -g[0][1], -g[0][2]
-    two, zero = (AlgebraicNumber.rational(p.ctx, v) for v in (2, 0))
     # the diagram's pattern in a and b; g66 is left to the kernel vector k2
     off = {(0, 1): -a, (0, 2): -b, (1, 3): -two, (2, 4): -two,
            (3, 5): -a, (4, 5): -b}
@@ -442,15 +475,32 @@ def _walk_product(p: CoxeterPresentation, faces) -> AlgebraicNumber:
 
     S*G*S scales the entries of face 6, which only the hyperbolic diagram
     has, by sqrt(D); a walk crosses two of them at each visit, so the
-    product is multiplied by D^-1 once per visit.  No factor carries sqrt(D).
+    product on g = S*G*S is multiplied by D^-1 once per visit.  That D^-1
+    is taken with the visit's entering edge x -> 6, whose g[x][6] D^-1 is
+    the build's quotient -2h (`_face6_quotient`): the walk's other factors,
+    sparse elements of K0, are multiplied first, and each dense quotient
+    once into their product.  No factor carries sqrt(D).
     """
     g = p._certified[0]
-    val = g[faces[0]][faces[1]]
-    for a, b in zip(faces[1:], faces[2:]):
-        val = val * g[a][b]
-    for _ in range(faces.count(5)):
-        val = val * _hyperbolic_cosh_data(p.m, p.n)[4]
+    val, quotients = None, []
+    for x, y in zip(faces, faces[1:]):
+        if y == 5:
+            quotients.append(_face6_quotient(p, x, g[x][5]))
+        else:
+            val = g[x][y] if val is None else val * g[x][y]
+    for q in quotients:
+        val = val * q
     return val
+
+
+def _face6_quotient(p, x, e):
+    """e D^-1 for the entry e = g[x][6] of p's certified K0 Gram g: with no
+    product, -2h where e is -2cos(pi/m) at face 4 (h = cos(pi/m) D^-1) or
+    -2cos(pi/n) at face 5, the values `_certify` gives the build's entries;
+    else the product e D^-1."""
+    c = _hyperbolic_cosh_data(p.m, p.n)
+    cos, h = (c.cm, c.hm) if x == 3 else (c.cn, c.hn)
+    return -2 * h if e == -2 * cos else e * c.Dinv
 
 
 def enumerate_cyclic_products(p: CoxeterPresentation):

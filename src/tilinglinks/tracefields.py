@@ -107,9 +107,14 @@ def build_worksheet(p: CoxeterPresentation, strategy: str = "bfs",
     # [-b, 0, 2, 0], [0, -2, 0, 2]], a = 2cos(pi/m), b = 2cos(pi/n), in both
     # families; adding row 4 to row 2 leaves (-a, 0, 0, 0) there, and the
     # expansion along it gives det B = -4a^2, which the certificate proved
-    # nonzero, as are the c_r, products of nonzero entries
-    gp = tuple(tuple(coeffs[i] * g[i][j] * coeffs[j] for j in range(4))
-               for i in range(4))
+    # nonzero, as are the c_r, products of nonzero entries.  B is
+    # symmetric, and so is G': its 10 entries on and above the diagonal
+    # are formed and mirrored
+    gp = [[None] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            gp[i][j] = gp[j][i] = coeffs[i] * g[i][j] * coeffs[j]
+    gp = tuple(map(tuple, gp))
     a = -g[0][1]
     det = -4 * a * a * gp[0][0] * gp[1][1] * gp[2][2] * gp[3][3] / 16
     return TraceFieldWorksheet(

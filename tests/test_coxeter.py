@@ -2,6 +2,7 @@
 singular-minor derivation of the ultraparallel entries, rank/signature, and
 cyclic products."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -10,7 +11,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from tilinglinks import coxeter
+from tilinglinks import coxeter, tracefields
 from tilinglinks.arithmeticity import check_arithmetic
 from tilinglinks.coxeter import (SPHERICAL_TYPES, _charpoly,
                                  build_hyperbolic_presentation,
@@ -23,6 +24,7 @@ from tilinglinks.coxeter import (SPHERICAL_TYPES, _charpoly,
 from tilinglinks.errors import DomainError, GeometryError, VerificationError
 from tilinglinks.fields import (AlgebraicNumber, adjoin_sqrt, embed_cos,
                                 is_rational, make_context)
+from tilinglinks.tracefields import build_worksheet
 
 HYPERBOLIC_PAIRS_12 = [(m, n) for m in range(3, 13) for n in range(3, 13)
                        if Fraction(1, m) + Fraction(1, n) < Fraction(1, 2)]
@@ -293,10 +295,10 @@ def test_k0_certification_rejects_wrong_scaled_entry(monkeypatch):
 
 def _patch_wrong_cos_m(monkeypatch):
     """Make _hyperbolic_cosh_data(7, 4) report a cos(pi/m) off by 1e-6."""
-    ctx, cm, cn, D, Dinv, root, c_mn, c_nm = coxeter._hyperbolic_cosh_data(7, 4)
-    wrong = cm + AlgebraicNumber.rational(ctx, Fraction(1, 10**6))
+    c = coxeter._hyperbolic_cosh_data(7, 4)
+    wrong = c.cm + AlgebraicNumber.rational(c.ctx, Fraction(1, 10**6))
     monkeypatch.setattr(coxeter, "_hyperbolic_cosh_data",
-                        lambda m, n: (ctx, wrong, cn, D, Dinv, root, c_mn, c_nm))
+                        lambda m, n: c._replace(cm=wrong))
 
 
 def test_k0_certification_runs_once_per_presentation(monkeypatch):
@@ -344,11 +346,11 @@ def _with_k0_gram(p, edit):
     rows = [list(r) for r in p._certified[0]]
     edit(rows, p.ctx)
     if p.family == "hyperbolic":
-        _, _, _, _, Dinv, root, _, _ = coxeter._hyperbolic_cosh_data(p.m, p.n)
+        c = coxeter._hyperbolic_cosh_data(p.m, p.n)
         for i in range(5):
-            rows[i][5] = rows[i][5] * root * Dinv
-            rows[5][i] = rows[5][i] * root * Dinv
-        rows[5][5] = rows[5][5] * Dinv
+            rows[i][5] = rows[i][5] * c.root * c.Dinv
+            rows[5][i] = rows[5][i] * c.root * c.Dinv
+        rows[5][5] = rows[5][5] * c.Dinv
     return p._replace(gram=tuple(tuple(r) for r in rows))
 
 
@@ -648,6 +650,69 @@ def test_cyclic_products_match_path_product_reference():
     for p in types:
         assert enumerate_cyclic_products(p) == path_product_reference(p), \
             (p.m, p.n)
+
+
+# the types of the benchmark's certify and export pools, both orientations
+_POOL_TYPES = [(14, 33), (14, 44), (22, 42), (24, 34), (11, 31), (20, 31),
+               (30, 31), (22, 43), (22, 49), (35, 38), (11, 36), (16, 25),
+               (32, 44), (38, 39), (46, 50), (43, 46), (44, 47), (47, 50)]
+_WALK_TYPES = sorted({t for m, n in _POOL_TYPES for t in ((m, n), (n, m))}) \
+    + [(49, 47), (6, 4), (4, 6), (6, 6), (10, 6), (6, 10)]
+
+
+def reference_walk(p, faces):
+    """Reference: the product of the certified K0 Gram's entries along the
+    walk `faces` (0-based), left to right, then D^-1 once per visit to
+    face 6."""
+    g = p._certified[0]
+    val = g[faces[0]][faces[1]]
+    for a, b in zip(faces[1:], faces[2:]):
+        val = val * g[a][b]
+    for _ in range(faces.count(5)):
+        val = val * coxeter._hyperbolic_cosh_data(p.m, p.n).Dinv
+    return val
+
+
+@pytest.mark.parametrize("m,n", _WALK_TYPES)
+def test_walk_products_match_the_left_to_right_reference(m, n):
+    # the cyclic products and the worksheet coefficients take face 6's D^-1
+    # with its entering edge, the reference once at the end
+    p = build_hyperbolic_presentation(m, n)
+    for faces, val in enumerate_cyclic_products(p):
+        assert val == reference_walk(p, [f - 1 for f in faces + faces[:1]]), faces
+    ref, worksheets = {}, {}
+    for strategy, seed in [("bfs", 0)] + [("random", s) for s in range(12)]:
+        # the seeds on one spanning tree share its worksheet
+        paths = tuple(tracefields._tree_paths(
+            p, random.Random(seed) if strategy == "random" else None))
+        if paths not in worksheets:
+            worksheets[paths] = build_worksheet(p, strategy, seed)
+        w = worksheets[paths]
+        assert w.paths == tuple(tuple(f + 1 for f in path) for path in paths)
+        for path, c in zip(paths[1:4], w.coeffs[1:]):
+            if path not in ref:
+                ref[path] = reference_walk(p, path)
+            assert c == ref[path], (strategy, seed, path)
+    # seeds 0, 5, 7, 9 and 11 route F4 through face 6
+    assert any(5 in paths[3] for paths in worksheets)
+
+
+def test_certificate_makes_no_dense_product(monkeypatch):
+    # the build's (4,6) and (5,6) scale to -2cos(pi/m) and -2cos(pi/n) with
+    # no product; multiplying each u sqrt(D) by sqrt(D) took products with
+    # the dense u = -2cos D^-1, of 460 nonzero coefficients at (47,50)
+    from tilinglinks import fields
+    p = build_hyperbolic_presentation(47, 50)._replace()
+    sizes = []
+    real = fields._vmul
+
+    def counting(a, da, b, db, ctx):
+        sizes.append(max(sum(map(bool, a)), sum(map(bool, b))))
+        return real(a, da, b, db, ctx)
+
+    monkeypatch.setattr(fields, "_vmul", counting)
+    assert coxeter._certify(p)[1] == (4, 3, 1)
+    assert sizes and max(sizes) <= 100
 
 
 @pytest.mark.parametrize(
