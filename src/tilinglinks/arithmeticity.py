@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Union
 
 from .coxeter import (CoxeterPresentation, build_hyperbolic_presentation,
                       enumerate_cyclic_products, geometry_of,
-                      validate_presentation)
+                      rank_and_signature)
 from .errors import DomainError, VerificationError
 from .fields import (AlgebraicNumber, as_json_dict, embed_cos, is_rational,
                      make_context, minimal_polynomial)
@@ -58,7 +58,7 @@ class ArithmeticityCertificate(NamedTuple):
 
 def check_arithmetic(p: CoxeterPresentation) -> ArithmeticityCertificate:
     """Certificate for the presentation; failures are verdicts, not errors."""
-    validate_presentation(p)
+    rank_and_signature(p)
     cycles = []
     failing = None
     for faces, value in enumerate_cyclic_products(p):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import copysign, hypot, lcm, sqrt
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, GeometryError, VerificationError
 from .fields import (AlgebraicNumber, FieldContext, _json_dict, adjoin_sqrt,
@@ -141,7 +141,6 @@ class _CoshData(NamedTuple):
     cm: AlgebraicNumber       # cos(pi/m)
     cn: AlgebraicNumber       # cos(pi/n)
     D: AlgebraicNumber
-    Dinv: AlgebraicNumber     # D^-1
     root: AlgebraicNumber     # sqrt(D) > 0
     hm: AlgebraicNumber       # cos(pi/m) D^-1
     hn: AlgebraicNumber       # cos(pi/n) D^-1
@@ -169,7 +168,7 @@ def _hyperbolic_cosh_data(m, n) -> _CoshData:
     root = adjoin_sqrt(ctx, D)
     hm, hn = cm * Dinv, cn * Dinv
     cosh_mn, cosh_nm = hm * root, hn * root
-    return _CoshData(ctx, cm, cn, D, Dinv, root, hm, hn, cosh_mn, cosh_nm,
+    return _CoshData(ctx, cm, cn, D, root, hm, hn, cosh_mn, cosh_nm,
                      -2 * cosh_mn, -2 * cosh_nm)
 
 
@@ -202,54 +201,21 @@ def build_presentation(m: int, n: int) -> CoxeterPresentation:
         "(the classifier handles Euclidean types by lookup)")
 
 
-# -- exact characteristic polynomial and determinant -------------------------
-
-def _charpoly(rows):
-    """Exact characteristic polynomial by Berkowitz's division-free method.
-
-    Returns coefficients [1, c1, ..., cs] of det(lambda*I - rows) =
-    lambda^s + c1 lambda^(s-1) + ... + cs.  Step r borders the leading r x r
-    block A with the column S, the row R and the corner a; the next
-    polynomial is the current one times the lower-triangular Toeplitz matrix
-    whose first column is 1, -a, -R S, -R A S, ..., -R A^(r-1) S
-    (Berkowitz, Inf. Process. Lett. 18, 1984).  Products with a zero factor
-    are skipped.
-    """
-    s = len(rows)
-    ctx = rows[0][0].ctx
-    one = AlgebraicNumber.rational(ctx, 1)
-    zero = AlgebraicNumber.rational(ctx, 0)
-
-    def dot(xs, ys):
-        acc = zero
-        for x, y in zip(xs, ys):
-            if not (x.is_zero or y.is_zero):
-                acc = acc + x * y
-        return acc
-
-    coeffs = [one]
-    for r in range(s):
-        block = [row[:r] for row in rows[:r]]
-        v = [rows[i][r] for i in range(r)]  # S, then A S, A^2 S, ...
-        col = [-rows[r][r]]
-        for k in range(r):
-            col.append(-dot(rows[r][:r], v))
-            if k < r - 1:
-                v = [dot(row, v) for row in block]
-        # Toeplitz product; coeffs[0] == 1 contributes col[i - 1] as it is
-        coeffs = [one] + [
-            (coeffs[i] if i <= r else zero) + col[i - 1]
-            + dot([col[i - 1 - j] for j in range(1, i)], coeffs[1:i])
-            for i in range(1, r + 2)]
-    return coeffs
-
+# -- exact determinant -------------------------------------------------------
 
 def exact_det(rows: Sequence[Sequence[AlgebraicNumber]]) -> AlgebraicNumber:
-    """Determinant over the exact field: (-1)^s times the constant term of
-    the characteristic polynomial of the s x s matrix."""
-    s = len(rows)
-    c = _charpoly(rows)[s]
-    return -c if s % 2 else c
+    """Determinant over the exact field by cofactor expansion along the
+    first row, skipping its zero entries.  Only the minor solve runs it, on
+    sparse minors of at most 5x5."""
+    top = rows[0]
+    if len(rows) == 1:
+        return top[0]
+    det = AlgebraicNumber.rational(top[0].ctx, 0)
+    for j, x in enumerate(top):
+        if not x.is_zero:
+            term = x * exact_det([r[:j] + r[j + 1:] for r in rows[1:]])
+            det = det - term if j % 2 else det + term
+    return det
 
 
 def solve_ultraparallel_by_minor(m: int, n: int):
@@ -294,41 +260,23 @@ def solve_ultraparallel_by_minor(m: int, n: int):
 
 # -- rank and signature ------------------------------------------------------
 
-GramLike = Union[CoxeterPresentation, Sequence[Sequence[AlgebraicNumber]]]
-
-
-def rank_and_signature(p: GramLike) -> tuple[int, int, int]:
-    """(rank, n_positive, n_negative), exact, cross-checked numerically.
-
-    A presentation: the inertia `_certify` proved for it, once.  Raw rows:
-    the rank is s minus the number of trailing zero coefficients of the
-    exact characteristic polynomial (`_charpoly`), the signature comes from
-    Descartes' rule on it, and `_check_numeric` cross-checks the counts on
-    the rows' `approx` doubles.
-    """
-    if isinstance(p, CoxeterPresentation):
-        return p._certified[1]
-    s = len(p)
-    coeffs = _charpoly(p)  # lambda^s .. constant term
-    trailing = 0
-    while trailing < s and coeffs[s - trailing].is_zero:
-        trailing += 1
-    rank = s - trailing
-    reduced = coeffs[:s - trailing + 1]
-    signs = [c.sign() for c in reduced if not c.is_zero]
-    pos = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    alt = [c.sign() * (-1) ** (len(reduced) - 1 - i)
-           for i, c in enumerate(reduced) if not c.is_zero]
-    neg = sum(1 for a, b in zip(alt, alt[1:]) if a != b)
-    if pos + neg != rank:
-        raise VerificationError("Descartes counts inconsistent with exact rank")
-    return _check_numeric([[e.approx() for e in row] for row in p], rank, pos, neg)
+def rank_and_signature(p: CoxeterPresentation) -> tuple[int, int, int]:
+    """(rank, n_positive, n_negative) of p's Gram matrix: the inertia that
+    `_certify` proved from the diagram, once per presentation, and
+    cross-checked numerically.  It is (4, 3, 1) on both families: the
+    leading-minor signs 1, 1, 4 - a^2, -8D, -4a^2 change sign exactly once,
+    and a zero minor raises first."""
+    if not isinstance(p, CoxeterPresentation):
+        raise TypeError("rank_and_signature takes a CoxeterPresentation, "
+                        f"not {type(p).__name__}")
+    return p._certified[1]
 
 
 def _check_numeric(floats, rank, pos, neg):
-    """(rank, pos, neg) once the cyclic Jacobi method's float eigenvalues of
-    the rows `floats`, counted against +-1e-9, agree; VerificationError when
-    they do not, or when the iteration does not converge."""
+    """(rank, pos, neg), the certificate's exact inertia, once the cyclic
+    Jacobi method's float eigenvalues of the float Gram `floats`, counted
+    against +-1e-9, agree with it; VerificationError when they do not, or
+    when the iteration does not converge."""
     s = len(floats)
     ev = _jacobi_eigenvalues(floats)
     num = (sum(1 for v in ev if v > 1e-9), sum(1 for v in ev if v < -1e-9),
@@ -385,12 +333,13 @@ def _certify(p: CoxeterPresentation):
     g is `gram` of a spherical presentation and S*G*S, S = diag(1,...,1,
     sqrt D), of a hyperbolic one.  S*G*S is congruent to G, so it has the
     same rank and inertia (Sylvester's law).  Its face-6 entries take no
-    product where p's entry equals the build's own element, found by a plain
-    equality: the build's (4,6) is -2h sqrt(D) with h = cos(pi/m) D^-1, so
+    product: p's entry must equal the build's own element, found by a plain
+    equality.  The build's (4,6) is -2h sqrt(D) with h = cos(pi/m) D^-1, so
     times sqrt(D) it is -2h D = -2cos(pi/m) by h D = cos(pi/m) (likewise
-    (5,6) with n, and the build's zeros stay zero).  An entry that is not
-    the build's is multiplied by sqrt(D).  With a = -g12 = 2cos(pi/m),
-    b = -g13 = 2cos(pi/n) and B = g[F1..F4]:
+    (5,6) with n, and the build's zeros stay zero).  Any other entry, over
+    any radicand, is off the pattern, and the scan below reports it at its
+    place.  With a = -g12 = 2cos(pi/m), b = -g13 = 2cos(pi/n) and
+    B = g[F1..F4]:
       - every entry but g66 follows the diagram's pattern in a and b; so
         the scaled (4,6) and (5,6) are -a and -b, and g lies in K0;
       - g k = 0 for k1 = (0, b, -a, b, -a, 0) (spherical: without F6) and
@@ -408,14 +357,11 @@ def _certify(p: CoxeterPresentation):
         c = _hyperbolic_cosh_data(p.m, p.n)
         built = (zero, zero, zero, c.g46, c.g56)
         k0 = (zero, zero, zero, -2 * c.cm, -2 * c.cn)  # built[i] sqrt(D)
-
-        def scaled(i, e):
-            return k0[i] if e == built[i] else e * c.root
-
+        # an entry other than the build's becomes None, which the pattern
+        # scan below reports at its place
         for i in range(5):
-            rows[i][5] = scaled(i, p.gram[i][5])
-            rows[5][i] = (rows[i][5] if p.gram[5][i] is p.gram[i][5]
-                          else scaled(i, p.gram[5][i]))
+            rows[i][5] = k0[i] if p.gram[i][5] == built[i] else None
+            rows[5][i] = k0[i] if p.gram[5][i] == built[i] else None
         rows[5][5] = p.gram[5][5] * c.D
     g = tuple(tuple(r) for r in rows)
     s = len(g)
@@ -448,19 +394,6 @@ def _certify(p: CoxeterPresentation):
     return g, _check_numeric(p._float_gram, 4, 4 - neg, neg)
 
 
-def validate_presentation(p: CoxeterPresentation) -> tuple[int, int, int]:
-    """Rank/signature gate: every polyhedral Gram matrix here must have
-    rank 4 and signature (3,1), which `_certify` proves from the diagram
-    once per presentation (one sign change among the leading minors on both
-    families: D > 0 hyperbolic, D < 0 spherical)."""
-    rank, pos, neg = rank_and_signature(p)
-    if (rank, pos, neg) != (4, 3, 1):
-        raise GeometryError(
-            f"Gram matrix of ({p.m},{p.n}) has rank {rank}, signature "
-            f"({pos},{neg}); expected rank 4, signature (3,1)")
-    return rank, pos, neg
-
-
 # -- diagram adjacency and cyclic products -----------------------------------
 
 def diagram_adjacency(p: CoxeterPresentation) -> list[list[bool]]:
@@ -476,31 +409,23 @@ def _walk_product(p: CoxeterPresentation, faces) -> AlgebraicNumber:
     S*G*S scales the entries of face 6, which only the hyperbolic diagram
     has, by sqrt(D); a walk crosses two of them at each visit, so the
     product on g = S*G*S is multiplied by D^-1 once per visit.  That D^-1
-    is taken with the visit's entering edge x -> 6, whose g[x][6] D^-1 is
-    the build's quotient -2h (`_face6_quotient`): the walk's other factors,
-    sparse elements of K0, are multiplied first, and each dense quotient
-    once into their product.  No factor carries sqrt(D).
+    is taken with the visit's entering edge x -> 6: the certificate proved
+    g[4][6] = -2cos(pi/m) and g[5][6] = -2cos(pi/n), so g[x][6] D^-1 is
+    the build's quotient -2h_m or -2h_n of `_CoshData`.  The walk's other
+    factors, sparse elements of K0, are multiplied first, and each dense
+    quotient once into their product.  No factor carries sqrt(D).
     """
     g = p._certified[0]
     val, quotients = None, []
     for x, y in zip(faces, faces[1:]):
         if y == 5:
-            quotients.append(_face6_quotient(p, x, g[x][5]))
+            c = _hyperbolic_cosh_data(p.m, p.n)
+            quotients.append(-2 * (c.hm if x == 3 else c.hn))
         else:
             val = g[x][y] if val is None else val * g[x][y]
     for q in quotients:
         val = val * q
     return val
-
-
-def _face6_quotient(p, x, e):
-    """e D^-1 for the entry e = g[x][6] of p's certified K0 Gram g: with no
-    product, -2h where e is -2cos(pi/m) at face 4 (h = cos(pi/m) D^-1) or
-    -2cos(pi/n) at face 5, the values `_certify` gives the build's entries;
-    else the product e D^-1."""
-    c = _hyperbolic_cosh_data(p.m, p.n)
-    cos, h = (c.cm, c.hm) if x == 3 else (c.cn, c.hn)
-    return -2 * h if e == -2 * cos else e * c.Dinv
 
 
 def enumerate_cyclic_products(p: CoxeterPresentation):

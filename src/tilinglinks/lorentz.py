@@ -152,8 +152,8 @@ def realize(p: CoxeterPresentation) -> PolyhedronRealization:
     the face normals.  Each vertex of `face_lattice` is placed as the null
     vector of its faces' rows; its float kind must be its exact kind, and it
     must lie on its faces and inside the others to within TOL."""
-    from .coxeter import face_lattice, validate_presentation
-    validate_presentation(p)
+    from .coxeter import face_lattice, rank_and_signature
+    rank_and_signature(p)
     G = p.gram_float()
     A = G / 2
     s = A.shape[0]

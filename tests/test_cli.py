@@ -493,7 +493,7 @@ def test_rank_signature_gate_runs_once_per_presentation(monkeypatch):
         assert run_cli(*argv)[0] == 0
     p = coxeter.build_hyperbolic_presentation(6, 4)
     lorentz.realize(p)
-    coxeter.validate_presentation(p)
+    coxeter.rank_and_signature(p)
     assert calls[("_certify", 6, 4, "hyperbolic")] == 1
     assert calls[("_cyclic_products", 6, 4, "hyperbolic")] == 1
 
@@ -503,21 +503,25 @@ def test_rank_signature_gate_runs_once_per_presentation(monkeypatch):
                                   ("tracefield", "22", "49", "--format", "json")])
 def test_certify_commands_never_run_the_charpoly(monkeypatch, argv):
     def refuse(rows):
-        raise AssertionError("the charpoly ran")
-    monkeypatch.setattr(coxeter, "_charpoly", refuse)
+        raise AssertionError("a determinant ran")
+    monkeypatch.setattr(coxeter, "exact_det", refuse)
     coxeter.build_hyperbolic_presentation.cache_clear()
     code, out = run_cli(*argv)
     assert code == 0 and out
+    # the patch takes effect: the minor solve runs the determinant
+    with pytest.raises(AssertionError, match="determinant ran"):
+        coxeter.solve_ultraparallel_by_minor(6, 4)
 
 
 @pytest.mark.parametrize("tamper,msg", [
     ("a at (4,6)", "Gram entry (4,6) is off the diagram's pattern"),
     ("entry (1,4)", "Gram entry (1,4) is off the diagram's pattern"),
     ("D3 reads 0", "leading minor D3 of the F1..F4 block is zero"),
+    ("(4,6) over sqrt(3)", "Gram entry (4,6) is off the diagram's pattern"),
 ])
 def test_tampered_gram_exits_3(monkeypatch, capsys, tamper, msg):
     # a fresh copy whose Gram the certification scales to the tampered K0 Gram
-    from test_coxeter import _with_k0_gram
+    from test_coxeter import _over_sqrt3, _with_k0_gram
     from tilinglinks.fields import AlgebraicNumber
     p = coxeter.build_hyperbolic_presentation(7, 4)
     a, b = -p.gram[0][1], -p.gram[0][2]
@@ -527,6 +531,8 @@ def test_tampered_gram_exits_3(monkeypatch, capsys, tamper, msg):
             rows[3][5] = rows[5][3] = -b
         elif tamper == "entry (1,4)":
             rows[0][3] = rows[3][0] = AlgebraicNumber.rational(ctx, -1)
+        elif tamper == "(4,6) over sqrt(3)":
+            rows[3][5] = rows[5][3] = _over_sqrt3(rows, ctx)
 
     p = _with_k0_gram(p, edit)
     if tamper == "D3 reads 0":

@@ -13,14 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from tilinglinks import coxeter, tracefields
 from tilinglinks.arithmeticity import check_arithmetic
-from tilinglinks.coxeter import (SPHERICAL_TYPES, _charpoly,
+from tilinglinks.coxeter import (SPHERICAL_TYPES,
                                  build_hyperbolic_presentation,
                                  build_presentation,
                                  build_spherical_presentation,
                                  enumerate_cyclic_products, exact_det,
                                  face_lattice, geometry_of, rank_and_signature,
-                                 solve_ultraparallel_by_minor,
-                                 validate_presentation)
+                                 solve_ultraparallel_by_minor)
 from tilinglinks.errors import DomainError, GeometryError, VerificationError
 from tilinglinks.fields import (AlgebraicNumber, adjoin_sqrt, embed_cos,
                                 is_rational, make_context)
@@ -219,15 +218,22 @@ def test_rank_signature_scaled_identity():
     for s in (3, 5):
         rows = [[AlgebraicNumber.rational(ctx, 2 if i == j else 0)
                  for j in range(s)] for i in range(s)]
-        assert rank_and_signature(rows) == (s, s, 0)
+        assert charpoly_inertia(rows) == (s, s, 0)
+
+
+def test_rank_signature_takes_only_a_presentation():
+    p = build_hyperbolic_presentation(6, 4)
+    for rows in (p.gram, p._certified[0], [list(r) for r in p.gram]):
+        with pytest.raises(TypeError, match="takes a CoxeterPresentation"):
+            rank_and_signature(rows)
 
 
 def test_rank_signature_k0_path_matches_generic_up_to_12():
     # the presentation goes through the K0-congruent Gram matrix, the raw
-    # rows through the generic charpoly on the sqrt(D) entries (reference)
+    # rows through the reference charpoly on the sqrt(D) entries
     for (m, n) in HYPERBOLIC_PAIRS_12:
         p = build_hyperbolic_presentation(m, n)
-        assert rank_and_signature(p) == rank_and_signature(p.gram), (m, n)
+        assert rank_and_signature(p) == charpoly_inertia(p.gram), (m, n)
 
 
 def test_jacobi_cross_check_matches_numpy_eigvalsh():
@@ -276,7 +282,7 @@ def test_k0_certification_rejects_wrong_scaled_entry(monkeypatch):
         rank_and_signature(swapped)
     with pytest.raises(VerificationError):
         enumerate_cyclic_products(swapped)
-    # the two consumers of validate_presentation refuse it as well
+    # the two consumers of the gate refuse it as well
     from tilinglinks.lorentz import realize
     with pytest.raises(VerificationError):
         check_arithmetic(swapped)
@@ -318,7 +324,7 @@ def test_k0_certification_runs_once_per_presentation(monkeypatch):
 def test_validate_presentation_all_families():
     for (m, n) in [(6, 4), (9, 5), (5, 3), (4, 3), (3, 3), (22, 49)]:
         p = build_presentation(m, n)
-        assert validate_presentation(p) == (4, 3, 1)
+        assert rank_and_signature(p) == (4, 3, 1)
 
 
 # field degrees 120 to 432, and 1012 for (49, 47)
@@ -328,29 +334,33 @@ _SPHERICAL_BOTH_WAYS = sorted(SPHERICAL_TYPES | {(n, m) for m, n in SPHERICAL_TY
 
 
 def test_diagram_certificate_matches_charpoly_on_the_k0_rows():
-    # Berkowitz and Descartes on the same exact rows are the reference
+    # Faddeev-LeVerrier and Descartes on the same exact rows are the
+    # reference
     for (m, n) in HYPERBOLIC_PAIRS_12 + _LARGE_TYPES:
         rows, inertia = coxeter._certify(build_hyperbolic_presentation(m, n))
-        assert inertia == rank_and_signature(rows) == (4, 3, 1), (m, n)
+        assert inertia == charpoly_inertia(rows) == (4, 3, 1), (m, n)
     for (m, n) in _SPHERICAL_BOTH_WAYS:
         p = build_spherical_presentation(m, n)
         rows, inertia = coxeter._certify(p)
         assert rows == p.gram
-        assert inertia == rank_and_signature(p.gram) == (4, 3, 1), (m, n)
+        assert inertia == charpoly_inertia(p.gram) == (4, 3, 1), (m, n)
 
 
 def _with_k0_gram(p, edit):
     """A fresh copy of p whose K0 Gram, as the certification scales it, is
-    p's with `edit` applied to its rows: face 6's entries are divided back
-    by sqrt(D), and (6,6) by D."""
+    p's with `edit` applied to its rows: face 6's entries in K0 are divided
+    back by sqrt(D), and (6,6) by D; an entry the edit put over a radicand
+    is kept as it is."""
     rows = [list(r) for r in p._certified[0]]
     edit(rows, p.ctx)
     if p.family == "hyperbolic":
         c = coxeter._hyperbolic_cosh_data(p.m, p.n)
+        Dinv = c.D.inverse()
         for i in range(5):
-            rows[i][5] = rows[i][5] * c.root * c.Dinv
-            rows[5][i] = rows[5][i] * c.root * c.Dinv
-        rows[5][5] = rows[5][5] * c.Dinv
+            for x, y in ((i, 5), (5, i)):
+                if rows[x][y].radicand is None:
+                    rows[x][y] = rows[x][y] * c.root * Dinv
+        rows[5][5] = rows[5][5] * Dinv
     return p._replace(gram=tuple(tuple(r) for r in rows))
 
 
@@ -360,8 +370,14 @@ def _set(i, j, value):
     return edit
 
 
+def _over_sqrt3(rows, ctx):
+    """The (4,6) entry -a sqrt(3): over a radicand other than D."""
+    return rows[3][5] * adjoin_sqrt(ctx, AlgebraicNumber.rational(ctx, 3))
+
+
 # a wrong a at (4,6); an entry off the zero pattern; g66 off 2D by 1e-9;
-# an ideal entry -2 off by 1e-6 on the spherical family
+# an ideal entry -2 off by 1e-6 on the spherical family; a (4,6) entry over
+# another radicand
 _TAMPERED = [
     ((7, 4), _set(3, 5, lambda g, ctx: g[0][2]), "entry \\(4,6\\) is off"),
     ((7, 4), _set(0, 3, lambda g, ctx: AlgebraicNumber.rational(ctx, -1)),
@@ -370,6 +386,7 @@ _TAMPERED = [
      "kernel vector k2"),
     ((5, 3), _set(2, 4, lambda g, ctx: g[2][4] + Fraction(1, 10**6)),
      "entry \\(3,5\\) is off"),
+    ((7, 4), _set(3, 5, _over_sqrt3), "entry \\(4,6\\) is off"),
 ]
 
 
@@ -377,7 +394,7 @@ _TAMPERED = [
 def test_diagram_certificate_rejects_a_tampered_gram(mn, edit, msg):
     q = _with_k0_gram(build_presentation(*mn), edit)
     with pytest.raises(VerificationError, match=msg):
-        validate_presentation(q)
+        rank_and_signature(q)
 
 
 def test_diagram_certificate_rejects_a_zero_minor(monkeypatch):
@@ -388,21 +405,22 @@ def test_diagram_certificate_rejects_a_zero_minor(monkeypatch):
     monkeypatch.setattr(AlgebraicNumber, "sign",
                         lambda x: 0 if x == d3 else real(x))
     with pytest.raises(VerificationError, match="leading minor D3 "):
-        validate_presentation(p)
+        rank_and_signature(p)
 
 
 def test_presentation_gate_never_runs_the_charpoly(monkeypatch):
     from tilinglinks.lorentz import realize
 
     def refuse(rows):
-        raise AssertionError("the charpoly ran on a presentation")
-    monkeypatch.setattr(coxeter, "_charpoly", refuse)
+        raise AssertionError("a determinant ran on a presentation")
+    monkeypatch.setattr(coxeter, "exact_det", refuse)
     for (m, n) in [(6, 4), (5, 3), (4, 3)]:
         p = build_presentation(m, n)._replace()
         realize(p)
         assert rank_and_signature(p) == (4, 3, 1)
-    with pytest.raises(AssertionError, match="charpoly ran"):
-        rank_and_signature(p.gram)
+    # the patch takes effect: the minor solve runs the determinant
+    with pytest.raises(AssertionError, match="determinant ran"):
+        solve_ultraparallel_by_minor(6, 4)
 
 
 def test_float_gram_evaluates_each_entry_once(monkeypatch):
@@ -481,6 +499,29 @@ def faddeev_leverrier_charpoly(rows):
     return coeffs
 
 
+def charpoly_inertia(rows):
+    """Reference: (rank, n_positive, n_negative) of the symmetric exact
+    rows.  The rank is s minus the trailing zero coefficients of the
+    `faddeev_leverrier_charpoly`; its roots are real, so Descartes' rule of
+    signs counts the positive ones on the polynomial and the negative ones
+    on its reflection lambda -> -lambda exactly."""
+    s = len(rows)
+    coeffs = faddeev_leverrier_charpoly(rows)  # lambda^s .. constant term
+    rank = s
+    while rank and coeffs[rank].is_zero:
+        rank -= 1
+    kept = [(c.sign(), rank - i) for i, c in enumerate(coeffs[:rank + 1])
+            if not c.is_zero]
+
+    def changes(signs):
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    pos = changes([x for x, _ in kept])
+    neg = changes([x * (-1) ** k for x, k in kept])
+    assert pos + neg == rank, "Descartes counts inconsistent with the rank"
+    return rank, pos, neg
+
+
 def subset_dp_det(rows):
     """Reference: the determinant as a dynamic program over the sets of
     columns used by the first r rows."""
@@ -526,8 +567,10 @@ def kernel_grams():
 
 
 def test_charpoly_matches_faddeev_leverrier():
+    # det = (-1)^s times the constant term of the characteristic polynomial
     for label, rows in kernel_grams():
-        assert _charpoly(rows) == faddeev_leverrier_charpoly(rows), label
+        c = faddeev_leverrier_charpoly(rows)[-1]
+        assert exact_det(rows) == (-c if len(rows) % 2 else c), label
 
 
 def test_exact_det_matches_subset_dp_on_principal_minors():
@@ -569,7 +612,7 @@ def test_charpoly_and_det_match_sympy(a):
     rows = [[AlgebraicNumber.rational(ctx, x) for x in row] for row in a]
     lam = sp.Symbol("lam")
     want = sp.Matrix(a).charpoly(lam).all_coeffs()
-    got = [is_rational(c) for c in _charpoly(rows)]
+    got = [is_rational(c) for c in faddeev_leverrier_charpoly(rows)]
     assert got == [Fraction(int(c.p), int(c.q)) for c in want]
     det = sp.Matrix(a).det()
     assert is_rational(exact_det(rows)) == Fraction(int(det.p), int(det.q))
@@ -669,7 +712,7 @@ def reference_walk(p, faces):
     for a, b in zip(faces[1:], faces[2:]):
         val = val * g[a][b]
     for _ in range(faces.count(5)):
-        val = val * coxeter._hyperbolic_cosh_data(p.m, p.n).Dinv
+        val = val * coxeter._hyperbolic_cosh_data(p.m, p.n).D.inverse()
     return val
 
 
