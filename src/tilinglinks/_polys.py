@@ -1,7 +1,9 @@
 """Integer polynomial utilities for the real cyclotomic substrate.
 
 Polynomials are lists/tuples of ints, low degree first.  Everything here is
-exact integer arithmetic; callers layer rational normalization on top.  The
+exact integer arithmetic; callers layer rational normalization on top.
+`mul` loops over the second operand's nonzero terms only: a radicand of an
+even L is a polynomial in x^2, half of its terms zero.  The
 cyclotomic polynomial is the Moebius product of the x^d - 1, built in linear
 passes; one trial-division `prime_factors` serves it and Euler's phi.
 One routine writes Dickson series on the power basis, term by term over the
@@ -20,9 +22,10 @@ def mul(a, b):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
+    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
+            for j, bj in b_terms:
                 out[i + j] += ai * bj
     return out
 

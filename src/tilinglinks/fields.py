@@ -3,7 +3,11 @@
 An element is u, a coordinate vector on the power basis of the generator
 g = 2cos(pi/L) stored as integers over a common denominator, or u sqrt(D)
 when it carries a radicand D in K0; a sum that mixes K0 with K0 sqrt(D), or
-two radicands, raises DomainError.  All ring operations are exact.
+two radicands, raises DomainError.  All ring operations are exact.  The
+vector stops at its highest nonzero coefficient, so zero is () and the
+values the certificates read (2, 2cos(pi/m), D) are short at any degree;
+sums, products and the reduction mod the modulus work on those lengths,
+and the writers pad with zeros to the field's degree.
 Floating point enters only through `approx`/`sign`, which bound the value
 under the distinguished real embedding by a certified fixed-point
 enclosure: one integer dot product of the coefficients with a cached table
@@ -215,6 +219,12 @@ def _to_float(n, d):
 
 
 def _normalize(num, den):
+    """(num, den) as a tuple up to its highest nonzero coefficient over
+    den > 0, the content shared with den divided out; zero is ((), 1)."""
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    num = tuple(num[:n])
     if den < 0:
         num = tuple(-c for c in num)
         den = -den
@@ -226,29 +236,37 @@ def _normalize(num, den):
 
 
 def _reduce_mod(vec, ctx):
+    """vec mod the modulus: only the terms at or above `degree` fold down,
+    so a vector shorter than `degree` comes back as it is."""
     d = ctx.degree
+    if len(vec) <= d:
+        return vec
     terms = ctx._modulus_terms
     vec = list(vec)
-    if len(vec) < d:
-        vec += [0] * (d - len(vec))
     for i in range(len(vec) - 1, d - 1, -1):
         c = vec[i]
         if c:
-            vec[i] = 0
             base = i - d
             for j, mj in terms:
                 vec[base + j] -= c * mj
-    return tuple(vec[:d])
+    return vec[:d]
 
 
 def _vadd(a, da, b, db):
     m = da * db // gcd(da, db)
     fa, fb = m // da, m // db
-    return _normalize(tuple(x * fa + y * fb for x, y in zip(a, b)), m)
+    if len(a) < len(b):
+        a, fa, b, fb = b, fb, a, fa
+    out = [x * fa for x in a]
+    for i, y in enumerate(b):
+        out[i] += y * fb
+    return _normalize(out, m)
 
 
 def _vmul(a, da, b, db, ctx):
-    out = [0] * (2 * len(a) - 1 if a else 1)
+    if not a or not b:
+        return (), 1
+    out = [0] * (len(a) + len(b) - 1)
     # field elements are often sparse on the power basis (Chebyshev values,
     # small-degree combinations), so loop over b's nonzero terms only
     b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
@@ -267,6 +285,10 @@ class AlgebraicNumber:
     pure elements over the same D is u v D, in K0.  A sum of a nonzero K0
     element and a nonzero pure one, like any mix of two radicands, raises
     DomainError.  Immutable: equal and hashed by its fields.
+
+    `num` ends at the highest nonzero coefficient (zero is `()`, over
+    `den` 1) and holds at most `ctx.degree` entries; `base_coeffs`,
+    `ext_coeffs` and `as_json_dict` pad it with zeros to `ctx.degree`.
     """
 
     __slots__ = ("ctx", "num", "den", "radicand")
@@ -304,8 +326,7 @@ class AlgebraicNumber:
     @staticmethod
     def rational(ctx: FieldContext, value) -> "AlgebraicNumber":
         q = Fraction(value)
-        num = (q.numerator,) + (0,) * (ctx.degree - 1)
-        return AlgebraicNumber(ctx, *_normalize(num, q.denominator))
+        return AlgebraicNumber(ctx, *_normalize((q.numerator,), q.denominator))
 
     @staticmethod
     def generator(ctx: FieldContext) -> "AlgebraicNumber":
@@ -313,22 +334,26 @@ class AlgebraicNumber:
 
     @staticmethod
     def _make(ctx, num, den, radicand=None):
-        num, den = _normalize(tuple(num), den)
-        return AlgebraicNumber(ctx, num, den, radicand if any(num) else None)
+        num, den = _normalize(num, den)
+        return AlgebraicNumber(ctx, num, den, radicand if num else None)
 
     # -- structure ---------------------------------------------------------
+
+    def _padded(self):
+        """`num` with zeros up to `degree`, as its writers print it."""
+        return self.num + (0,) * (self.ctx.degree - len(self.num))
 
     @property
     def base_coeffs(self) -> tuple[Fraction, ...]:
         if self.radicand is not None:
             return (Fraction(0),) * self.ctx.degree
-        return tuple(Fraction(c, self.den) for c in self.num)
+        return tuple(Fraction(c, self.den) for c in self._padded())
 
     @property
     def ext_coeffs(self) -> Optional[tuple[Fraction, ...]]:
         if self.radicand is None:
             return None
-        return tuple(Fraction(c, self.den) for c in self.num)
+        return tuple(Fraction(c, self.den) for c in self._padded())
 
     # the coefficient vector of sqrt(radicand) and its denominator, in the
     # names perfbench/tracer.py reads for its coefficient-size metric
@@ -337,7 +362,7 @@ class AlgebraicNumber:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.num)
+        return not self.num
 
     def _check_ctx(self, other):
         if self.ctx is not other.ctx and self.ctx != other.ctx:
@@ -443,7 +468,7 @@ class AlgebraicNumber:
         instead: halfway between two doubles, every enclosure straddles it."""
         if self.is_zero:
             return 0.0
-        if self.radicand is None and not any(self.num[1:]):
+        if self.radicand is None and len(self.num) == 1:
             return _to_float(self.num[0], self.den)
         for lo, hi, D in _enclosures(self):
             if lo > 0 or hi < 0:
@@ -482,13 +507,13 @@ def _base_inverse(num, den, ctx):
     R == -Q b (mod Psi), (sigma - tau Q) / c, of degree below deg Psi, is
     the inverse of b.  tau has degree below deg b, so a sparse b of low
     degree (the radicand D) never carries a cofactor of Psi's degree."""
-    if not any(num):
-        raise ArithmeticError("division by zero")
     b = trim(num)
+    if not b:
+        raise ArithmeticError("division by zero")
     content = gcd(*b)
     b = [c // content for c in b]
     if len(b) == 1:  # a rational: b is +-1
-        return _normalize((den * b[0],) + (0,) * (ctx.degree - 1), content)
+        return _normalize((den * b[0],), content)
     _, Q, R = _pseudo_divmod(ctx.modulus, b)
     r_prev, r_cur = b, R
     g = gcd(*r_cur)
@@ -520,11 +545,12 @@ def _base_inverse(num, den, ctx):
     a[0] += c
     s, q, _ = _pseudo_divmod(trim(a), b)
     # num/den = content b / den, inverted: den (q - s tv Q) / (s c content)
-    vec = [-s * x for x in mul(tv, Q)] + [0] * ctx.degree
+    # deg tv < deg b and deg Q = deg Psi - deg b, so vec stays below deg Psi
+    vec = [-s * x for x in mul(tv, Q)]
+    vec += [0] * (len(q) - len(vec))
     for i, x in enumerate(q):
         vec[i] += x
-    return _normalize(tuple(x * den for x in vec[:ctx.degree]),
-                      s * c * content)
+    return _normalize([x * den for x in vec], s * c * content)
 
 
 def _pseudo_divmod(a, b):
@@ -539,10 +565,12 @@ def _pseudo_divmod(a, b):
     scale = lead ** steps
     a = [c * scale for c in a]
     q = [0] * steps
+    # an even L's radicand is a polynomial in g^2: skip b's zero terms
+    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for k in range(steps - 1, -1, -1):
         c = q[k] = a[k + db] // lead
         if c:
-            for j, bj in enumerate(b):
+            for j, bj in b_terms:
                 a[k + j] -= c * bj
     return scale, q, trim(a[:db])
 
@@ -555,12 +583,12 @@ def embed_cos(ctx: FieldContext, k: int) -> AlgebraicNumber:
     if k < 1 or ctx.L % k != 0:
         raise DomainError(f"k={k} does not divide L={ctx.L}")
     num = _reduce_mod(dickson_to_power([0] * (ctx.L // k) + [1]), ctx)
-    return AlgebraicNumber(ctx, num, 1)
+    return AlgebraicNumber(ctx, *_normalize(num, 1))
 
 
 def is_rational(x: AlgebraicNumber) -> Optional[Fraction]:
     """The rational value of x when x is in Q, else None."""
-    if x.radicand is not None or any(x.num[1:]):
+    if x.radicand is not None or len(x.num) > 1:
         return None
     return Fraction(x.num[0] if x.num else 0, x.den)
 
@@ -588,7 +616,7 @@ def adjoin_sqrt(ctx: FieldContext, D: AlgebraicNumber) -> AlgebraicNumber:
         r = _detect_square(ctx, D)
         if r is not None:
             return r
-    return AlgebraicNumber(ctx, (1,) + (0,) * (ctx.degree - 1), 1, D)
+    return AlgebraicNumber(ctx, (1,), 1, D)
 
 
 def _detect_square(ctx, D):
@@ -660,7 +688,7 @@ def minimal_polynomial(x: AlgebraicNumber) -> tuple[Fraction, ...]:
     pivots = []  # (col, row_vec, combo)
     power = AlgebraicNumber.rational(x.ctx, 1)
     for k in range(dim + 1):
-        vec = [Fraction(c, power.den) for c in power.num]
+        vec = [Fraction(c, power.den) for c in power._padded()]
         combo = [Fraction(0)] * (dim + 1)
         combo[k] = Fraction(1)
         for col, row, rc in pivots:
@@ -705,10 +733,11 @@ def as_json_dict(x: AlgebraicNumber) -> dict:
 def _json_dict(x, radicand_dict):
     """`as_json_dict(x)`, with `radicand_dict` serializing x's radicand."""
     pure = x.radicand is not None
+    pairs = _pairs(x._padded(), x.den)
     return {
         "L": x.ctx.L,
-        "base": _pairs((0,) * x.ctx.degree, 1) if pure else _pairs(x.num, x.den),
-        "ext": _pairs(x.num, x.den) if pure else None,
+        "base": _pairs((0,) * x.ctx.degree, 1) if pure else pairs,
+        "ext": pairs if pure else None,
         "radicand": radicand_dict(x.radicand) if pure else None,
         "approx": x.approx(),
     }

@@ -567,8 +567,14 @@ def kernel_grams():
 
 
 def test_charpoly_matches_faddeev_leverrier():
-    # det = (-1)^s times the constant term of the characteristic polynomial
-    for label, rows in kernel_grams():
+    # det = (-1)^s times the constant term of the characteristic polynomial;
+    # the rank-4 Grams are singular, so their F1..F4 blocks (determinant
+    # -4a^2 on a hyperbolic type) give the cofactor signs a nonzero value
+    blocks = [(f"{label} F1..F4", [row[:4] for row in rows[:4]])
+              for label, rows in kernel_grams()]
+    for label, block in blocks:
+        assert not exact_det(block).is_zero, label
+    for label, rows in kernel_grams() + blocks:
         c = faddeev_leverrier_charpoly(rows)[-1]
         assert exact_det(rows) == (-c if len(rows) % 2 else c), label
 

@@ -465,6 +465,158 @@ def test_pseudo_divmod(a, b, want):
         x + (r[i] if i < len(r) else 0) for i, x in enumerate(qb[:len(a)])]
 
 
+# -- the stored form: `num` up to its highest nonzero coefficient --------------
+
+def _full(x):
+    """x's coefficients as Fractions, padded to the field's degree."""
+    d = x.ctx.degree
+    assert len(x.num) <= d
+    return [Fraction(c, x.den) for c in x.num] + [Fraction(0)] * (d - len(x.num))
+
+
+def _ref_mul(u, v, ctx):
+    """Product of two full-length Fraction vectors: the schoolbook
+    convolution, then the remainder of the monic modulus term by term."""
+    d = ctx.degree
+    out = [Fraction(0)] * (2 * d - 1)
+    for i in range(d):
+        for j in range(d):
+            out[i + j] += u[i] * v[j]
+    for i in range(2 * d - 2, d - 1, -1):
+        c = out[i]
+        for j in range(d + 1):
+            out[i - d + j] -= c * ctx.modulus[j]
+    return out[:d]
+
+
+def _ref_inverse(u, ctx):
+    """The v with u v == 1, by Gauss-Jordan on the matrix of
+    multiplication by u (column j is u g^j reduced)."""
+    d = ctx.degree
+    basis = [[Fraction(int(i == j)) for i in range(d)] for j in range(d)]
+    cols = [_ref_mul(u, e, ctx) for e in basis]
+    rows = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))]
+            for i in range(d)]
+    for c in range(d):
+        p = next(r for r in range(c, d) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return [row[d] for row in rows]
+
+
+@st.composite
+def stored_elements(draw, ctx):
+    """An element of ctx of any length up to its degree, often with
+    interior zeros, built from a zero-padded vector."""
+    size = draw(st.integers(0, ctx.degree))
+    coeffs = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, 7, 40]),
+                           min_size=size, max_size=size))
+    den = draw(st.integers(1, 6))
+    return AlgebraicNumber._make(
+        ctx, coeffs + [0] * (ctx.degree - size), den)
+
+
+def _assert_stored(x):
+    assert x.num == () or x.num[-1] != 0
+    assert len(x.num) <= x.ctx.degree and x.den > 0
+    if x.is_zero:
+        assert x.num == () and x.den == 1
+    assert AlgebraicNumber._make(
+        x.ctx, x.num + (0,) * (x.ctx.degree - len(x.num)), x.den) == x
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_stored_form_matches_full_length_reference(data):
+    # odd and even L; at even L the modulus is a polynomial in g^2
+    ctx = make_context(data.draw(st.sampled_from([5, 12, 21, 44, 105])))
+    x = data.draw(stored_elements(ctx))
+    y = data.draw(stored_elements(ctx))
+    u, v = _full(x), _full(y)
+    results = [(x + y, [a + b for a, b in zip(u, v)]),
+               (x - y, [a - b for a, b in zip(u, v)]),
+               (y - x, [b - a for a, b in zip(u, v)]),
+               (x * y, _ref_mul(u, v, ctx)),
+               (x - x, [Fraction(0)] * ctx.degree)]
+    if not x.is_zero:
+        results.append((x.inverse(), _ref_inverse(u, ctx)))
+    for z, want in results:
+        _assert_stored(z)
+        assert _full(z) == want
+    for z in (x, y):
+        _assert_stored(z)
+
+
+@pytest.mark.parametrize("L", [5, 12, 21, 44, 105])
+def test_writers_pad_to_the_degree(L):
+    ctx = make_context(L)
+    d, g = ctx.degree, AlgebraicNumber.generator(ctx)
+    zero = AlgebraicNumber.rational(ctx, 0)
+    assert zero.num == () and zero.den == 1 and zero == g - g
+    assert AlgebraicNumber.rational(ctx, Fraction(-3, 4)).num == (-3,)
+    pure = g * AlgebraicNumber(ctx, (1,), 1, g + 3)
+    for x in (zero, AlgebraicNumber.rational(ctx, 2), g, g * g - 1, pure):
+        assert len(x.base_coeffs) == d
+        assert x.ext_coeffs is None or len(x.ext_coeffs) == d
+        j = as_json_dict(x)
+        assert len(j["base"]) == d
+        assert j["ext"] is None or len(j["ext"]) == d
+    assert pure.ext_coeffs[:2] == (0, 1) and not any(pure.base_coeffs)
+
+
+# -- the sparse kernels on operands with interior zeros ------------------------
+
+def _naive_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _naive_divmod(a, b):
+    """(q, r) with a == q b + r over Q and deg r < deg b."""
+    a = [Fraction(c) for c in a]
+    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            a[k + j] -= c * y
+    return q, a[:len(b) - 1]
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_sparse_kernels_match_naive_on_interior_zeros(data):
+    from tilinglinks._polys import mul, trim
+    D = _discriminant(47, 44)
+    assert D.ctx.degree == 920 and D.num.count(0) > 40
+    even = st.lists(st.integers(-9, 9), min_size=1, max_size=12).map(
+        lambda c: [x for v in c for x in (v, 0)][:-1])  # a polynomial in x^2
+    b = data.draw(st.sampled_from([list(D.num), None]))
+    if b is None:
+        b = data.draw(even.filter(lambda c: c[-1] != 0))
+    a = data.draw(st.sampled_from([list(D.ctx.modulus), None]))
+    if a is None:
+        a = data.draw(st.one_of(even, st.lists(st.integers(-9, 9),
+                                               min_size=1, max_size=30)))
+    assert mul(a, b) == _naive_mul(a, b) and mul(b, a) == _naive_mul(b, a)
+    s, q, r = fields._pseudo_divmod(a, b)
+    if len(a) < len(b):
+        assert (s, q, r) == (1, [], trim(a))
+        return
+    assert s == b[-1] ** (len(a) - len(b) + 1)
+    qb = mul(q, b)
+    rhs = [x + (r[i] if i < len(r) else 0) for i, x in enumerate(qb)]
+    assert [s * c for c in a] == rhs[:len(a)] and not any(rhs[len(a):])
+    nq, nr = _naive_divmod(a, b)
+    assert q == [s * c for c in nq] and r == trim([s * c for c in nr])
+
+
 def test_add_zero_identity():
     ctx = make_context(7)
     g = AlgebraicNumber.generator(ctx)
