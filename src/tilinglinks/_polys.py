@@ -2,8 +2,9 @@
 
 Polynomials are lists/tuples of ints, low degree first.  Everything here is
 exact integer arithmetic; callers layer rational normalization on top.
-`mul` loops over the second operand's nonzero terms only: a radicand of an
-even L is a polynomial in x^2, half of its terms zero.  The
+`mul` forms every field product too (`fields._vmul` reduces its result mod
+the modulus).  It loops over the second operand's nonzero terms only: a
+radicand of an even L is a polynomial in x^2, half of its terms zero.  The
 cyclotomic polynomial is the Moebius product of the x^d - 1, built in linear
 passes; one trial-division `prime_factors` serves it and Euler's phi.
 One routine writes Dickson series on the power basis, term by term over the

@@ -170,10 +170,10 @@ def _presentation_for(args):
 def cmd_gram(args, out):
     p = _presentation_for(args)
     from .coxeter import presentation_json_dict, rank_and_signature
+    rank, pos, neg = rank_and_signature(p)  # the gate, before any output
     if args.format == "json":
         out.write(_dump(presentation_json_dict(p)) + "\n")
         return 0
-    rank, pos, neg = rank_and_signature(p)  # the gate, before any output
     out.write(f"Coxeter presentation for [{p.m},{p.n},{p.m},{p.n}] "
               f"({p.family}), faces {', '.join(p.faces)}\n")
     radicands = {}

@@ -264,17 +264,7 @@ def _vadd(a, da, b, db):
 
 
 def _vmul(a, da, b, db, ctx):
-    if not a or not b:
-        return (), 1
-    out = [0] * (len(a) + len(b) - 1)
-    # field elements are often sparse on the power basis (Chebyshev values,
-    # small-degree combinations), so loop over b's nonzero terms only
-    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in b_terms:
-                out[i + j] += ai * bj
-    return _normalize(_reduce_mod(out, ctx), da * db)
+    return _normalize(_reduce_mod(mul(a, b), ctx), da * db)
 
 
 class AlgebraicNumber:
@@ -327,10 +317,6 @@ class AlgebraicNumber:
     def rational(ctx: FieldContext, value) -> "AlgebraicNumber":
         q = Fraction(value)
         return AlgebraicNumber(ctx, *_normalize((q.numerator,), q.denominator))
-
-    @staticmethod
-    def generator(ctx: FieldContext) -> "AlgebraicNumber":
-        return embed_cos(ctx, ctx.L)
 
     @staticmethod
     def _make(ctx, num, den, radicand=None):
@@ -434,21 +420,6 @@ class AlgebraicNumber:
         if other is NotImplemented:
             return NotImplemented
         return self.__mul__(other.inverse())
-
-    def __rtruediv__(self, other):
-        return self.inverse().__mul__(other)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = AlgebraicNumber.rational(self.ctx, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
 
     def _coerce(self, other):
         if isinstance(other, AlgebraicNumber):

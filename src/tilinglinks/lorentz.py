@@ -240,14 +240,6 @@ class DrumGeometry(NamedTuple):
     base_lateral: float
     lateral_lateral: float
 
-    @property
-    def base_vertices(self) -> np.ndarray:
-        return self.cell.vertices
-
-    @property
-    def horoballs(self) -> np.ndarray:
-        return self.cell.horoballs
-
 
 def build_drum(m: int, n: int, side: Optional[int] = None) -> DrumGeometry:
     """Regular ideal drum over the side-gon of the hyperbolic [m,n,m,n]

@@ -123,7 +123,12 @@ def build_worksheet(p: CoxeterPresentation, strategy: str = "bfs",
 
 
 def squarefree_part(value: Fraction) -> tuple[Fraction, int]:
-    """Write value = c^2 * d with c rational and d a squarefree integer."""
+    """Write value = c^2 * d with c rational and d a squarefree integer.
+
+    Trial division runs up to 10^6, so a cofactor left at or below 10^12
+    is prime; a larger one raises VerificationError.  The command paths
+    reach this only with det G' of (6,4), (4,6) and (6,6), small integers
+    times a rational square."""
     if value == 0:
         raise DomainError("zero has no squarefree part")
     n = value.numerator * value.denominator
@@ -143,34 +148,12 @@ def squarefree_part(value: Fraction) -> tuple[Fraction, int]:
             c2 *= f ** (e // 2)
         f += 1 if f == 2 else 2
     if n > 1:
-        if n > 10**12 and not _probable_prime(n):
+        if n > 10**12:
             raise VerificationError(f"cannot certify squarefree reduction of {n}")
         d *= n
     c = Fraction(c2, value.denominator)
     assert c * c * sign * d == value
     return c, sign * d
-
-
-def _probable_prime(n):
-    if n < 2:
-        return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def field_label(d: int) -> str:

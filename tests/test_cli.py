@@ -513,6 +513,11 @@ def test_certify_commands_never_run_the_charpoly(monkeypatch, argv):
         coxeter.solve_ultraparallel_by_minor(6, 4)
 
 
+def _exits_3(capsys, argv, msg):
+    assert run_cli(*argv) == (3, "")
+    assert capsys.readouterr().err == f"error: verification: {msg}\n"
+
+
 @pytest.mark.parametrize("tamper,msg", [
     ("a at (4,6)", "Gram entry (4,6) is off the diagram's pattern"),
     ("entry (1,4)", "Gram entry (1,4) is off the diagram's pattern"),
@@ -543,10 +548,89 @@ def test_tampered_gram_exits_3(monkeypatch, capsys, tamper, msg):
     monkeypatch.setattr(coxeter, "build_presentation", lambda m, n: p)
     monkeypatch.setattr(coxeter, "build_hyperbolic_presentation", lambda m, n: p)
     # the gate runs before any of the commands writes to stdout
-    for argv in (("gram", "7", "4"), ("arithmetic", "7", "4", "--format", "json"),
+    for argv in (("gram", "7", "4"), ("gram", "7", "4", "--format", "json"),
+                 ("arithmetic", "7", "4", "--format", "json"),
                  ("tracefield", "7", "4", "--format", "json")):
-        assert run_cli(*argv) == (3, "")
-        assert capsys.readouterr().err == f"error: verification: {msg}\n"
+        _exits_3(capsys, argv, msg)
+
+
+# -- checks that no valid input fires, each reached through one tampered
+# input: the exception and its message in process, then exit 3 with empty
+# stdout from a command that runs the check
+
+
+def test_rational_cosine_disagreement_exits_3(monkeypatch, capsys):
+    from tilinglinks import arithmeticity
+    from tilinglinks.errors import VerificationError
+    monkeypatch.setattr(arithmeticity, "RATIONAL_COSINE_ORDERS",
+                        frozenset({3, 4}))
+    arithmeticity.niven_filter.cache_clear()
+    arithmeticity.hyperbolic_verdict.cache_clear()
+    msg = "rational-cosine lookup and exact test disagree at p=6"
+    with pytest.raises(VerificationError, match=msg):
+        arithmeticity.niven_filter(6)
+    assert arithmeticity.niven_filter(5) is False  # lookup and test agree
+    # (4,5) passes, (4,6) reaches p = 6
+    _exits_3(capsys, ("sweep", "--m-max", "6", "--n-max", "6"), msg)
+
+
+def test_tampered_computed_field_exits_3(monkeypatch, capsys):
+    from tilinglinks import classify
+    from tilinglinks.errors import VerificationError
+    monkeypatch.setitem(classify._COMPUTED_FIELDS, (6, 4), -1)
+    classify.arithmetic_status.cache_clear()
+    msg = "computed field for (6, 4) disagrees with the expected table"
+    with pytest.raises(VerificationError) as err:
+        classify.trace_field_table(6, 4)
+    assert str(err.value) == msg
+    assert classify.trace_field_table(6, 6).d == -1
+    _exits_3(capsys, ("classify", "6", "4"), msg)
+
+
+def test_modulus_degree_check_exits_3(monkeypatch, capsys):
+    from tilinglinks import fields
+    from tilinglinks.errors import VerificationError
+    real = fields.fold_palindromic
+    # the fold loses its leading coefficient
+    monkeypatch.setattr(fields, "fold_palindromic", lambda c: real(c)[:-1])
+    caches = (fields.make_context, coxeter._hyperbolic_cosh_data,
+              coxeter.build_hyperbolic_presentation)
+    for f in caches:
+        f.cache_clear()
+    try:
+        with pytest.raises(VerificationError) as err:
+            fields.make_context(7)
+        assert str(err.value) == "modulus degree 2 != phi(2L)/2 = 3"
+        assert fields.make_context(1).degree == 1  # no fold at L = 1
+        # gram 7 4 is over L = 28, of degree phi(56)/2 = 12
+        _exits_3(capsys, ("gram", "7", "4"),
+                 "modulus degree 11 != phi(2L)/2 = 12")
+    finally:
+        for f in caches:
+            f.cache_clear()
+
+
+def test_irrational_det_with_rational_products_exits_3(monkeypatch, capsys):
+    from tilinglinks import tracefields
+    from tilinglinks.errors import VerificationError
+    from tilinglinks.fields import embed_cos
+    real = tracefields.build_worksheet
+
+    def tampered(p, strategy="bfs", seed=0):
+        # det G' of (6,4), -3456, moved off Q by 2cos(pi/12)
+        w = real(p, strategy, seed)
+        return w._replace(det=w.det + embed_cos(p.ctx, p.ctx.L))
+
+    monkeypatch.setattr(tracefields, "build_worksheet", tampered)
+    msg = "all cyclic products rational but det G' is not"
+    p = coxeter.build_hyperbolic_presentation(6, 4)
+    with pytest.raises(VerificationError, match=msg):
+        tracefields.invariant_trace_field(p)
+    # a type with an irrational cyclic product never asks det G' for Q
+    q = coxeter.build_hyperbolic_presentation(7, 4)
+    assert not tracefields.invariant_trace_field(q).adjoint_rational
+    for fmt in ("text", "json"):
+        _exits_3(capsys, ("tracefield", "6", "4", "--format", fmt), msg)
 
 
 # sha256 of the canonical `--format json` stdout for types of field degree

@@ -31,8 +31,8 @@ def sympy_minpoly_coeffs(expr):
 def test_degree_one_contexts():
     assert make_context(1).degree == 1
     assert make_context(2).degree == 1
-    assert AlgebraicNumber.generator(make_context(1)).approx() == -2.0
-    assert AlgebraicNumber.generator(make_context(2)).is_zero
+    assert embed_cos(make_context(1), 1).approx() == -2.0
+    assert embed_cos(make_context(2), 2).is_zero
 
 
 def test_golden_ratio_modulus():
@@ -65,7 +65,7 @@ def test_cyclotomic_matches_sympy(n):
 def test_generator_embedding_is_root():
     for L in (5, 7, 12):
         ctx = make_context(L)
-        g = AlgebraicNumber.generator(ctx).approx()
+        g = embed_cos(ctx, ctx.L).approx()
         assert abs(g - 2 * cos(pi / L)) < 1e-12
         val = sum(c * g**i for i, c in enumerate(ctx.modulus))
         assert abs(val) < 1e-9
@@ -176,7 +176,7 @@ def _embed_cos_recurrence(ctx, k):
     two = AlgebraicNumber.rational(ctx, 2)
     if j == 0:
         return two
-    g = AlgebraicNumber.generator(ctx)
+    g = embed_cos(ctx, ctx.L)
     t_prev, t_cur = two, g
     for _ in range(j - 1):
         t_prev, t_cur = t_cur, g * t_cur - t_prev
@@ -353,7 +353,7 @@ def test_inverse_times_element_is_one_high_degree(data):
     x = AlgebraicNumber._make(ctx, a, den)
     if not x.is_zero:
         assert x * x.inverse() == one
-    D = AlgebraicNumber.generator(ctx) + 2
+    D = embed_cos(ctx, ctx.L) + 2
     y = AlgebraicNumber._make(ctx, b, ext_den, D)
     if not y.is_zero:
         assert y * y.inverse() == one
@@ -421,10 +421,10 @@ def test_inverse_of_discriminant_matches_euclid(m, n):
 def test_inverse_matches_euclid_on_rationals_and_pure_elements(monkeypatch):
     ctx = make_context(91)
     D = _discriminant(7, 13)
-    g = AlgebraicNumber.generator(ctx)
+    g = embed_cos(ctx, ctx.L)
     xs = [AlgebraicNumber.rational(make_context(L), q)
           for L in (1, 2, 5, 91) for q in (1, -1, 7, Fraction(-3, 8))]
-    xs += [AlgebraicNumber.generator(make_context(1)), g, g - 2, 3 * g + 1]
+    xs += [embed_cos(make_context(1), 1), g, g - 2, 3 * g + 1]
     # pure elements: the inverse of u sqrt(D) inverts u D
     xs += [AlgebraicNumber._make(ctx, u.num, u.den, D)
            for u in (AlgebraicNumber.rational(ctx, 1), g, D, g * g - 5)]
@@ -554,7 +554,7 @@ def test_stored_form_matches_full_length_reference(data):
 @pytest.mark.parametrize("L", [5, 12, 21, 44, 105])
 def test_writers_pad_to_the_degree(L):
     ctx = make_context(L)
-    d, g = ctx.degree, AlgebraicNumber.generator(ctx)
+    d, g = ctx.degree, embed_cos(ctx, ctx.L)
     zero = AlgebraicNumber.rational(ctx, 0)
     assert zero.num == () and zero.den == 1 and zero == g - g
     assert AlgebraicNumber.rational(ctx, Fraction(-3, 4)).num == (-3,)
@@ -619,7 +619,7 @@ def test_sparse_kernels_match_naive_on_interior_zeros(data):
 
 def test_add_zero_identity():
     ctx = make_context(7)
-    g = AlgebraicNumber.generator(ctx)
+    g = embed_cos(ctx, ctx.L)
     assert g + 0 == g
 
 
@@ -636,8 +636,8 @@ def test_zero_inverse_raises():
 
 
 def test_context_mixing_rejected():
-    a = AlgebraicNumber.generator(make_context(5))
-    b = AlgebraicNumber.generator(make_context(7))
+    a = embed_cos(make_context(5), 5)
+    b = embed_cos(make_context(7), 7)
     with pytest.raises(DomainError):
         a + b
 
@@ -656,7 +656,7 @@ def test_mixed_sums_rejected():
     """K0 and K0 sqrt(D) do not mix in a sum, in either order and through
     subtraction; a zero on either side is the identity of both."""
     ctx = make_context(12)
-    g = AlgebraicNumber.generator(ctx)
+    g = embed_cos(ctx, ctx.L)
     zero = AlgebraicNumber.rational(ctx, 0)
     s = adjoin_sqrt(ctx, AlgebraicNumber.rational(ctx, Fraction(1, 2)))
     for mix in (lambda: g + s, lambda: s + g, lambda: s - 1, lambda: 1 - s,
@@ -692,7 +692,7 @@ def test_sqrt_genuine_extension():
 
 def test_sqrt_detects_field_square():
     ctx = make_context(12)
-    g = AlgebraicNumber.generator(ctx)
+    g = embed_cos(ctx, ctx.L)
     el = (g + 1) * (g + 1)
     r = adjoin_sqrt(ctx, el)
     assert r.radicand is None and r == g + 1
@@ -710,10 +710,11 @@ def test_sqrt_detects_field_square():
 ])
 def test_sqrt_detects_field_square_of_mixed_element(L, coeffs):
     ctx = make_context(L)
-    g = AlgebraicNumber.generator(ctx)
-    x = AlgebraicNumber.rational(ctx, 0)
-    for i, c in enumerate(coeffs):
-        x = x + c * g ** i
+    g = embed_cos(ctx, ctx.L)
+    x, power = (AlgebraicNumber.rational(ctx, v) for v in (0, 1))
+    for c in coeffs:
+        x = x + c * power
+        power = power * g
     assert is_rational(x * x) is None
     r = adjoin_sqrt(ctx, x * x)
     assert r.radicand is None and r.sign() > 0
@@ -732,8 +733,10 @@ def test_sqrt_of_discriminant(m, n, square):
     assert (r.radicand is None) == square
     assert r * r == D and r.sign() > 0
     if square:
-        g = AlgebraicNumber.generator(ctx)
-        assert r == (-2 + 9 * g ** 2 - 6 * g ** 4 + g ** 6) / 2
+        g = embed_cos(ctx, ctx.L)
+        g2 = g * g
+        g4 = g2 * g2
+        assert r == (-2 + 9 * g2 - 6 * g4 + g4 * g2) / 2
 
 
 @pytest.mark.parametrize("L", [20, 24, 30])
@@ -741,7 +744,7 @@ def test_sqrt_of_totally_positive_non_square(L):
     # 3 + g > 1 at every conjugate, so all 128 sign patterns of the degree-8
     # square detection are tried and none verifies
     ctx = make_context(L)
-    D = 3 + AlgebraicNumber.generator(ctx)
+    D = 3 + embed_cos(ctx, ctx.L)
     assert ctx.degree == 8
     r = adjoin_sqrt(ctx, D)
     assert r.radicand == D
@@ -789,7 +792,7 @@ def test_minpoly_examples():
     (-sp.sqrt(6), 6, lambda ctx: -(embed_cos(ctx, 6) * 2) * adjoin_sqrt(
         ctx, AlgebraicNumber.rational(ctx, Fraction(1, 2)))),
     (2 * sp.cos(sp.pi / 12) + 1, 12,
-     lambda ctx: AlgebraicNumber.generator(ctx) + 1),
+     lambda ctx: embed_cos(ctx, ctx.L) + 1),
 ])
 def test_minpoly_matches_sympy(expr, L, builder):
     ctx = make_context(L)
@@ -812,11 +815,12 @@ def test_minpoly_of_pure_gram_entries_matches_sympy(m):
 
 def test_minpoly_annihilates_element():
     ctx = make_context(12)
-    x = embed_cos(ctx, 6) + AlgebraicNumber.generator(ctx) / 3
+    x = embed_cos(ctx, 6) + embed_cos(ctx, ctx.L) / 3
     mp = minimal_polynomial(x)
-    acc = AlgebraicNumber.rational(ctx, 0)
-    for k, c in enumerate(mp):
-        acc = acc + x**k * c
+    acc, power = (AlgebraicNumber.rational(ctx, v) for v in (0, 1))
+    for c in mp:
+        acc = acc + power * c
+        power = power * x
     assert acc.is_zero
 
 
@@ -854,7 +858,7 @@ def test_sign_and_approx_survive_catastrophic_cancellation():
     precision escalation instead of trusting rounding noise."""
     import mpmath
     ctx = make_context(12)
-    g = AlgebraicNumber.generator(ctx)
+    g = embed_cos(ctx, ctx.L)
     with mpmath.workprec(400):
         gval = 2 * mpmath.cos(mpmath.pi / 12)
         conv = Fraction(int(mpmath.floor(gval * 10**50 + mpmath.mpf("0.5"))),
@@ -1120,7 +1124,7 @@ def test_sign_of_tiny_element_escalates():
         rest = 1 / (rest - a)
     signs = set()
     for conv in convs:
-        y = AlgebraicNumber.generator(ctx) - conv
+        y = embed_cos(ctx, ctx.L) - conv
         with mpmath.workprec(600):
             true = gval - mpmath.mpf(conv.numerator) / conv.denominator
             assert 0 < abs(true) < mpmath.mpf(2) ** -140
@@ -1174,7 +1178,7 @@ def test_undecidable_element_gives_up_at_the_cap(L):
     and `approx` must raise once P passes the cap."""
     import mpmath
     ctx = make_context(L)
-    g = AlgebraicNumber.generator(ctx)
+    g = embed_cos(ctx, ctx.L)
     c, unit = g + 3, (1,) + (0,) * (ctx.degree - 1)
     with pytest.raises(DomainError):
         c - AlgebraicNumber._make(ctx, unit, 1, c * c)
@@ -1202,7 +1206,7 @@ def test_negative_radicand_raises():
     ctx = make_context(12)
     unit = (1,) + (0,) * (ctx.degree - 1)
     for rad in (AlgebraicNumber.rational(ctx, -2),
-                AlgebraicNumber.generator(ctx) - 5):
+                embed_cos(ctx, ctx.L) - 5):
         x = AlgebraicNumber._make(ctx, unit, 1, rad)
         with pytest.raises(VerificationError, match="radicand negative"):
             x.sign()

@@ -337,8 +337,8 @@ def test_drum_66():
     d = build_drum(6, 6)
     assert abs(d.base_lateral - pi / 4) < 1e-12
     assert abs(d.lateral_lateral - pi / 2) < 1e-12
-    assert len(d.base_vertices) == 12
-    for v in d.base_vertices:
+    assert len(d.cell.vertices) == 12
+    for v in d.cell.vertices:
         assert classify_point(v) == "ideal"
 
 
@@ -387,7 +387,7 @@ def test_drum_bases_regular_ideal():
     # all vertices ideal, top ring on the base plane, and (with the common
     # horoball normalization) equal adjacent pairings = regular spacing
     d = build_drum(7, 3, side=7)
-    top = d.base_vertices[:7]
+    top = d.cell.vertices[:7]
     base_normal = d.cell.normals[7]
     for v in top:
         assert abs(mdot(v, v)) < 1e-9

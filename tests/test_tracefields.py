@@ -4,11 +4,12 @@ reduction of the invariant trace field."""
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 from tilinglinks.coxeter import (SPHERICAL_TYPES, build_hyperbolic_presentation,
                                  build_spherical_presentation, exact_det,
                                  geometry_of)
-from tilinglinks.errors import DomainError
+from tilinglinks.errors import DomainError, VerificationError
 from tilinglinks.fields import (AlgebraicNumber, embed_cos, is_rational,
                                 make_context)
 from tilinglinks.tracefields import (build_worksheet, field_label,
@@ -177,6 +178,21 @@ def test_squarefree_part():
     assert squarefree_part(Fraction(1, 2)) == (Fraction(1, 2), 2)
     with pytest.raises(DomainError):
         squarefree_part(Fraction(0))
+
+
+def test_squarefree_part_limit():
+    # trial division runs to 10^6, so a cofactor at or below 10^12 is prime:
+    # the largest prime below 10^12 and one of 999,983^2 are reduced
+    assert sp.isprime(999999999989)
+    assert squarefree_part(Fraction(4 * 999999999989)) == (2, 999999999989)
+    assert squarefree_part(Fraction(-999983**2, 3)) == (Fraction(999983, 3), -3)
+    # above 10^12 a cofactor is refused, a product of two primes above 10^6
+    # and the least prime above 10^12 alike
+    assert sp.isprime(10**12 + 39)
+    for n in (1000003 * 1000033, 10**12 + 39):
+        with pytest.raises(VerificationError) as err:
+            squarefree_part(Fraction(n))
+        assert str(err.value) == f"cannot certify squarefree reduction of {n}"
 
 
 def test_field_labels():
